@@ -5,8 +5,9 @@
 // the document accumulates before/after evidence: vector-extraction
 // ns/op, B/op, and allocs/op over the paper's payload scales (256 B,
 // 1 KiB, 4 KiB), the legacy string-keyed baseline for comparison, and the
-// engine scaling curve (shards 1/2/4/8, per-packet vs batched vs
-// pipelined submission) through the sharded flow.ParallelEngine.
+// engine curve over shards 1/2/4/8 through the sharded
+// flow.ParallelEngine, driven the one way serve drives it: ProcessBatch in
+// batches of 64.
 //
 // Usage:
 //
@@ -20,8 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,8 +31,8 @@ import (
 	"iustitia/internal/packet"
 )
 
-// engineBatchSize is the ProcessBatch chunk used by the batched and
-// pipelined engine benchmarks — the ingest server's default batch bound.
+// engineBatchSize is the ProcessBatch chunk used by the engine benchmarks
+// — the ingest server's default batch bound.
 const engineBatchSize = 64
 
 // benchResult is one benchmark entry of a run.
@@ -162,33 +161,10 @@ func vectorEntry(name string, data []byte, legacy bool) benchResult {
 	}
 }
 
-// engineMode selects how a benchmark replay submits packets.
-type engineMode int
-
-const (
-	modeSingle    engineMode = iota // per-packet Process
-	modeBatch                       // synchronous ProcessBatch
-	modePipelined                   // ProcessBatch into shard workers
-)
-
-func (m engineMode) String() string {
-	switch m {
-	case modeSingle:
-		return "single"
-	case modeBatch:
-		return "batch"
-	default:
-		return "pipelined"
-	}
-}
-
 // benchEnv is the trained classifier and trace shared by every engine
 // benchmark, so classifier training happens once.
 type benchEnv struct {
-	clf flow.Classifier
-	// base is the trained core model behind clf, needed to build
-	// per-shard replica sets for the replica-vs-shared comparison.
-	base  *core.Classifier
+	clf   flow.Classifier
 	trace *packet.Trace
 }
 
@@ -219,102 +195,49 @@ func newBenchEnv() (*benchEnv, error) {
 	// vectorClf exposes the model's widths so the same environment drives
 	// both the buffered engine and stream mode (which needs a
 	// flow.VectorClassifier).
-	return &benchEnv{clf: vectorClf{clf}, base: clf, trace: trace}, nil
+	return &benchEnv{clf: vectorClf{clf}, trace: trace}, nil
 }
 
-// replay pumps the trace through a fresh engine in the given mode and
-// returns the wall time. The §6 conservation law is asserted after the
+// replay pumps the trace through a fresh engine in ProcessBatch chunks
+// and returns the wall time. The §6 conservation law is asserted after the
 // final flush: a batched path that loses or duplicates a packet is a
 // wrong answer, not a fast one.
-func (env *benchEnv) replay(shards int, mode engineMode, stream *flow.StreamConfig, replicate bool) (time.Duration, error) {
-	// replicate hands every shard its own classifier replica of the same
-	// model (core.ReplicaSet) instead of one shared classifier — the
-	// replica-vs-shared series isolates the cost of sharing the hot
-	// atomic model-pointer word across shards.
-	var classifiers []flow.Classifier
-	if replicate {
-		rs, err := core.NewReplicaSet(env.base, shards)
-		if err != nil {
-			return 0, err
-		}
-		classifiers = make([]flow.Classifier, shards)
-		for i := range classifiers {
-			classifiers[i] = vectorClf{rs.Replica(i)}
-		}
-	}
+func (env *benchEnv) replay(shards int, stream *flow.StreamConfig) (time.Duration, error) {
 	pe, err := flow.NewParallelEngine(flow.EngineConfig{
 		BufferSize: 32, Classifier: env.clf,
 		CDB: flow.CDBConfig{PurgeOnClose: true}, Stream: stream,
-	}, shards, classifiers)
+	}, shards, nil)
 	if err != nil {
 		return 0, err
 	}
 	pkts := env.trace.Packets
+	batch := make([]*packet.Packet, 0, engineBatchSize)
 	start := time.Now()
-	switch mode {
-	case modeSingle:
-		for i := range pkts {
-			if _, err := pe.Process(&pkts[i]); err != nil {
-				return 0, err
-			}
+	for i := range pkts {
+		batch = append(batch, &pkts[i])
+		if len(batch) < engineBatchSize && i+1 < len(pkts) {
+			continue
 		}
-	default:
-		if mode == modePipelined {
-			if err := pe.StartPipeline(0); err != nil {
-				return 0, err
-			}
+		if failed, err := pe.ProcessBatch(batch); err != nil || failed != 0 {
+			return 0, fmt.Errorf("ProcessBatch: failed=%d err=%w", failed, err)
 		}
-		batch := make([]*packet.Packet, 0, engineBatchSize)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			failed, err := pe.ProcessBatch(batch)
-			if err != nil || failed != 0 {
-				return fmt.Errorf("ProcessBatch: failed=%d err=%w", failed, err)
-			}
-			batch = batch[:0]
-			return nil
-		}
-		for i := range pkts {
-			batch = append(batch, &pkts[i])
-			if len(batch) == engineBatchSize {
-				if err := flush(); err != nil {
-					return 0, err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return 0, err
-		}
-		if mode == modePipelined {
-			pe.Barrier()
-		}
+		batch = batch[:0]
 	}
 	if _, err := pe.FlushAll(pkts[len(pkts)-1].Time + time.Hour); err != nil {
 		return 0, err
 	}
 	elapsed := time.Since(start)
-	if mode == modePipelined {
-		ps := pe.PipelineStats()
-		if err := pe.StopPipeline(); err != nil {
-			return 0, err
-		}
-		if ps.Errors != 0 {
-			return 0, fmt.Errorf("pipelined replay: %d errors, first: %v", ps.Errors, ps.FirstErr)
-		}
-	}
 	st := pe.Stats()
 	if total := st.Classified + st.Fallback + st.Dropped + st.Pending; st.Admitted != total {
-		return 0, fmt.Errorf("conservation violated (shards=%d mode=%s): Admitted %d != %d",
-			shards, mode, st.Admitted, total)
+		return 0, fmt.Errorf("conservation violated (shards=%d): Admitted %d != %d",
+			shards, st.Admitted, total)
 	}
 	return elapsed, nil
 }
 
-// engineEntry reports end-to-end flows/sec for one (shards, mode) point of
-// the scaling curve (best of three fresh runs).
-func (env *benchEnv) engineEntry(name string, shards int, mode engineMode, stream *flow.StreamConfig, replicate bool) (benchResult, error) {
+// engineEntry reports end-to-end flows/sec for one shard count of the
+// engine curve (best of three fresh runs).
+func (env *benchEnv) engineEntry(name string, shards int, stream *flow.StreamConfig) (benchResult, error) {
 	nFlows := len(env.trace.Flows)
 	nPackets := len(env.trace.Packets)
 	best := benchResult{
@@ -322,7 +245,7 @@ func (env *benchEnv) engineEntry(name string, shards int, mode engineMode, strea
 		Procs: runtime.GOMAXPROCS(0),
 	}
 	for rep := 0; rep < 3; rep++ {
-		elapsed, err := env.replay(shards, mode, stream, replicate)
+		elapsed, err := env.replay(shards, stream)
 		if err != nil {
 			return benchResult{}, err
 		}
@@ -335,7 +258,7 @@ func (env *benchEnv) engineEntry(name string, shards int, mode engineMode, strea
 	return best, nil
 }
 
-func run(out string, procs int, sweep []int, assertScaling float64) error {
+func run(out string, procs int) error {
 	runtime.GOMAXPROCS(procs)
 	doc, err := loadTrajectory(out)
 	if err != nil {
@@ -382,81 +305,28 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 	if err != nil {
 		return err
 	}
-	fps := map[string]float64{}
+	var shards1FPS float64
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range []engineMode{modeSingle, modeBatch, modePipelined} {
-			name := fmt.Sprintf("flow.ParallelEngine/shards-%d/%s/trace-2000flows", shards, mode)
-			entry, err := env.engineEntry(name, shards, mode, nil, false)
-			if err != nil {
-				return err
-			}
-			cur.Results = append(cur.Results, entry)
-			fps[fmt.Sprintf("shards-%d/%s", shards, mode)] = entry.FlowsPerSec
-			fmt.Fprintf(os.Stderr, "%-56s %12.0f ns/pkt %14.0f flows/sec\n",
-				entry.Name, entry.NsPerOp, entry.FlowsPerSec)
+		name := fmt.Sprintf("flow.ParallelEngine/shards-%d/batch/trace-2000flows", shards)
+		entry, err := env.engineEntry(name, shards, nil)
+		if err != nil {
+			return err
 		}
-	}
-	// The scaling and batching ratios the trajectory tracks: how much the
-	// batched submission buys over per-packet at one shard, and how the
-	// pipelined path scales with shard count.
-	if base := fps["shards-1/single"]; base > 0 {
-		cur.Speedups["engine_batch_over_single_shards1"] = fps["shards-1/batch"] / base
-	}
-	if base := fps["shards-1/pipelined"]; base > 0 {
-		for _, shards := range []int{2, 4, 8} {
-			key := fmt.Sprintf("engine_pipelined_shards%d_over_shards1", shards)
-			cur.Speedups[key] = fps[fmt.Sprintf("shards-%d/pipelined", shards)] / base
+		cur.Results = append(cur.Results, entry)
+		if shards == 1 {
+			shards1FPS = entry.FlowsPerSec
 		}
-	}
-
-	// Replica-vs-shared classifier: the same pipelined shards-4 replay,
-	// the only variable being whether every shard shares one classifier
-	// (one hot atomic model-pointer word) or owns a replica. On a single
-	// core the ratio sits near 1.0; the gap is a multicore effect.
-	repl, err := env.engineEntry(
-		"flow.ParallelEngine/shards-4/pipelined/replica-classifiers/trace-2000flows",
-		4, modePipelined, nil, true)
-	if err != nil {
-		return err
-	}
-	cur.Results = append(cur.Results, repl)
-	fmt.Fprintf(os.Stderr, "%-56s %12.0f ns/pkt %14.0f flows/sec\n",
-		repl.Name, repl.NsPerOp, repl.FlowsPerSec)
-	if base := fps["shards-4/pipelined"]; base > 0 {
-		cur.Speedups["classifier_replica_over_shared"] = repl.FlowsPerSec / base
+		fmt.Fprintf(os.Stderr, "%-56s %12.0f ns/pkt %14.0f flows/sec\n",
+			entry.Name, entry.NsPerOp, entry.FlowsPerSec)
 	}
 
 	if err := purgeTailSection(&cur); err != nil {
 		return err
 	}
 
-	if err := streamSection(env, &cur, fps["shards-1/single"]); err != nil {
+	if err := streamSection(env, &cur, shards1FPS); err != nil {
 		return err
 	}
-
-	// The -procs-sweep curve: the pipelined shards {1,4} points re-run
-	// under each requested GOMAXPROCS, so one run shows how the shard
-	// speedup tracks the cores actually granted. Each entry's Procs field
-	// records the setting it ran under.
-	for _, p := range sweep {
-		runtime.GOMAXPROCS(p)
-		sweepFPS := map[int]float64{}
-		for _, shards := range []int{1, 4} {
-			name := fmt.Sprintf("flow.ParallelEngine/procs-%d/shards-%d/pipelined/trace-2000flows", p, shards)
-			entry, err := env.engineEntry(name, shards, modePipelined, nil, false)
-			if err != nil {
-				return err
-			}
-			cur.Results = append(cur.Results, entry)
-			sweepFPS[shards] = entry.FlowsPerSec
-			fmt.Fprintf(os.Stderr, "%-56s %12.0f ns/pkt %14.0f flows/sec\n",
-				entry.Name, entry.NsPerOp, entry.FlowsPerSec)
-		}
-		if base := sweepFPS[1]; base > 0 {
-			cur.Speedups[fmt.Sprintf("engine_pipelined_shards4_over_shards1_procs%d", p)] = sweepFPS[4] / base
-		}
-	}
-	runtime.GOMAXPROCS(procs)
 
 	doc.Runs = append(doc.Runs, cur)
 	blob, err := json.MarshalIndent(doc, "", "  ")
@@ -470,60 +340,18 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 	fmt.Fprintf(os.Stderr, "appended run %d to %s (alloc improvement at 1 KiB: %.0fx, GOMAXPROCS %d of %d CPUs)\n",
 		len(doc.Runs), out, cur.AllocImprovement1KiB, cur.GOMAXPROCS, cur.NumCPU)
 
-	// The multicore gate: on a box with enough cores, 4 pipelined shards
-	// must actually scale. The run is appended before asserting, so a
-	// failing gate still leaves its evidence in the trajectory. A 1-CPU
-	// runner cannot exhibit parallel speedup — the assertion is skipped,
-	// not faked.
-	if assertScaling > 0 {
-		key := "engine_pipelined_shards4_over_shards1"
-		got := cur.Speedups[key]
-		switch {
-		case cur.NumCPU < 4:
-			fmt.Fprintf(os.Stderr, "scaling assertion skipped: %d CPUs < 4 (%s = %.2f, unasserted)\n",
-				cur.NumCPU, key, got)
-		case got < assertScaling:
-			return fmt.Errorf("scaling assertion failed: %s = %.2f < %.2f on %d CPUs",
-				key, got, assertScaling, cur.NumCPU)
-		default:
-			fmt.Fprintf(os.Stderr, "scaling assertion passed: %s = %.2f >= %.2f\n", key, got, assertScaling)
-		}
-	}
 	return nil
-}
-
-// parseProcsSweep parses the -procs-sweep comma list.
-func parseProcsSweep(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || p < 1 {
-			return nil, fmt.Errorf("bad -procs-sweep entry %q", part)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 func main() {
 	out := flag.String("out", "BENCH_entropy.json", "output JSON path (appended to, not overwritten)")
 	procs := flag.Int("procs", runtime.NumCPU(), "GOMAXPROCS for the run (recorded per result)")
-	procsSweep := flag.String("procs-sweep", "", "comma-separated GOMAXPROCS values to re-run the pipelined shards {1,4} points under (e.g. 1,2,4)")
-	assertScaling := flag.Float64("assert-scaling", 0, "fail unless engine_pipelined_shards4_over_shards1 reaches this ratio (skipped below 4 CPUs; 0 disables)")
 	flag.Parse()
 	if *procs < 1 {
 		fmt.Fprintln(os.Stderr, "iustitia-benchjson: -procs must be >= 1")
 		os.Exit(1)
 	}
-	sweep, err := parseProcsSweep(*procsSweep)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iustitia-benchjson:", err)
-		os.Exit(1)
-	}
-	if err := run(*out, *procs, sweep, *assertScaling); err != nil {
+	if err := run(*out, *procs); err != nil {
 		fmt.Fprintln(os.Stderr, "iustitia-benchjson:", err)
 		os.Exit(1)
 	}

@@ -92,8 +92,8 @@ type streamClassErr struct {
 }
 
 // streamSection appends the stream-mode engine curve to cur.Results and
-// fills cur.Stream. exactFPS is the buffered shards-1/single flows/sec,
-// the denominator of the stream-vs-exact speedup ratios.
+// fills cur.Stream. exactFPS is the buffered shards-1 flows/sec, the
+// denominator of the stream-vs-exact speedup ratios.
 func streamSection(env *benchEnv, cur *benchRun, exactFPS float64) error {
 	rep := &streamReport{Epsilon: streamEpsilon, Delta: streamDelta}
 	exactBytes, err := residentBytesPerFlow(env.clf, nil, residentBufBytes, residentFeed, residentFlows)
@@ -108,9 +108,9 @@ func streamSection(env *benchEnv, cur *benchRun, exactFPS float64) error {
 			Epsilon: streamEpsilon, Delta: streamDelta, Sketch: kind, Seed: streamSeed,
 		}
 		for _, shards := range []int{1, 4} {
-			name := fmt.Sprintf("flow.ParallelEngine/stream-%s/shards-%d/single/trace-2000flows",
+			name := fmt.Sprintf("flow.ParallelEngine/stream-%s/shards-%d/batch/trace-2000flows",
 				kind, shards)
-			entry, err := env.engineEntry(name, shards, modeSingle, scfg, false)
+			entry, err := env.engineEntry(name, shards, scfg)
 			if err != nil {
 				return err
 			}

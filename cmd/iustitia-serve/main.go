@@ -61,8 +61,7 @@ func run() error {
 		idleFlush = flag.Duration("idle-flush", 2*time.Second, "classify flows idle this long in packet time (0 = only at drain)")
 		shards    = flag.Int("shards", 4, "engine shards (flow-parallel classification)")
 		workers   = flag.Int("workers", 2, "supervised ingest workers")
-		batch     = flag.Int("batch", 0, "packets per engine submission batch (1 = per-packet, 0 = default)")
-		pipeline  = flag.Bool("pipeline", false, "run the engine in pipelined mode: one worker goroutine per shard behind bounded queues")
+		batch     = flag.Int("batch", 0, "max packets per engine submission batch (0 = default)")
 		replicate = flag.Bool("replicate-model", true, "give each shard its own classifier replica (no shared model-pointer word on the hot path); hot-swap flips every replica under the frame gate")
 		pprofAddr = flag.String("pprof", "", "TCP listen address for the net/http/pprof debug endpoint (enables mutex and block profiling)")
 
@@ -74,7 +73,7 @@ func run() error {
 		maxFrame    = flag.Int("max-frame", 0, "max frame payload bytes a header may declare (0 = default)")
 
 		stream  = flag.Bool("stream", false, "constant-memory stream mode: sketch per-flow entropy instead of buffering b payload bytes")
-		sketch  = flag.String("sketch", "lall", "stream-mode sketch backend: lall (reservoir AMS) | cc (compressed counting)")
+		sketch  = flag.String("sketch", "cc", "stream-mode sketch backend: cc (compressed counting, the measured default) | lall (reservoir AMS; ~10x slower and ~10x larger per flow)")
 		epsilon = flag.Float64("epsilon", 0.25, "stream-mode relative error bound ε in (0,1)")
 		delta   = flag.Float64("delta", 0.25, "stream-mode failure probability δ in (0,1)")
 
@@ -161,6 +160,9 @@ func run() error {
 		Eviction:      evictPolicy,
 		FallbackClass: fbClass,
 		Faults:        flow.FaultPolicy{Tolerate: *tolerate},
+		// A long-running node reads neither Label nor FillStats: keep no
+		// per-flow results (verdicts live in the CDB, which purges).
+		LabelCap: -1,
 		CDB: flow.CDBConfig{
 			PurgeOnClose:  true,
 			PurgeInactive: true,
@@ -212,15 +214,6 @@ func run() error {
 				fmt.Printf("resume watermark: seq %d\n", seq)
 			}
 		}
-	}
-
-	// Pipelined mode is started on the serving engine (after any resume
-	// swap) and stopped after the drain barrier has flushed its queues.
-	if *pipeline {
-		if err := engine.StartPipeline(0); err != nil {
-			return err
-		}
-		fmt.Printf("engine pipeline: %d shard workers\n", *shards)
 	}
 
 	// Signals are armed early so the ops DRAIN verb can inject a SIGTERM:
@@ -399,18 +392,6 @@ func run() error {
 	// An in-flight swap probation must settle before exit, so a rollback
 	// decision is never lost to process teardown.
 	mgr.Close()
-	if *pipeline {
-		// Shutdown already barriered the shard workers; surface their
-		// counters before tearing the pipeline down.
-		ps := engine.PipelineStats()
-		if stopErr := engine.StopPipeline(); stopErr != nil && drainErr == nil {
-			drainErr = stopErr
-		}
-		if ps.Errors > 0 {
-			fmt.Fprintf(os.Stderr, "iustitia-serve: pipeline: %d errors, first: %v\n",
-				ps.Errors, ps.FirstErr)
-		}
-	}
 	if *unixSock != "" {
 		os.Remove(*unixSock)
 	}

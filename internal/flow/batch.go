@@ -1,215 +1,39 @@
 package flow
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"iustitia/internal/packet"
 )
 
-// This file is the multicore front end of ParallelEngine: a batched
-// submission API (ProcessBatch) that partitions a packet batch across
-// shards in one pass, and an optional pipelined mode where per-shard
-// worker goroutines drain bounded queues so the caller's thread stops
-// being the serialization point.
+// This file is the batched front end of ParallelEngine: ProcessBatch
+// partitions a packet batch across shards in one pass and runs each
+// shard's slice inline.
 //
-// Ordering: all packets of one flow hash to one shard, a batch's per-shard
-// slice preserves submission order, and each shard queue is drained by a
-// single worker — so per-flow processing order is exactly submission
-// order, as long as one flow's packets are submitted by one goroutine (the
-// same contract Process has always had; the ingest server routes flows to
-// workers by flow ID for precisely this reason).
+// Ordering: all packets of one flow hash to one shard and a batch's
+// per-shard slice preserves submission order, so per-flow processing order
+// is exactly submission order, as long as one flow's packets are submitted
+// by one goroutine (the same contract Process has always had; the ingest
+// server routes flows to workers by flow ID for precisely this reason).
 //
-// Conservation: every admitted packet reaches Engine.ProcessID exactly
-// once, on every path (synchronous, pipelined, worker panic recovery), so
-// the §6 law Admitted == Classified + Fallback + Dropped + Pending and the
-// transport law Received == Admitted + Quarantined + Shed keep holding.
-
-// DefaultPipelineDepth is the per-shard queue bound, in batch jobs, when
-// StartPipeline is given zero.
-const DefaultPipelineDepth = 8
+// Conservation: every packet of a batch reaches Engine.ProcessID exactly
+// once, so the §6 law Admitted == Classified + Fallback + Dropped + Pending
+// and the transport law Received == Admitted + Quarantined + Shed keep
+// holding.
 
 // batchEntry is one routed packet: the flow ID is computed once during
 // partitioning and reused by the shard. The packet is held by value so the
 // caller may recycle its own packet structs as soon as ProcessBatch
-// returns; only the payload bytes must stay untouched until the packet is
-// processed (they are per-packet allocations on the ingest path).
+// returns.
 type batchEntry struct {
 	id  ID
 	pkt packet.Packet
 }
 
 // batchScratch is the pooled partition buffer of one in-flight batch: one
-// append slice per shard plus the countdown that returns the scratch to
-// the pool after the last shard finishes with it.
+// append slice per shard.
 type batchScratch struct {
 	perShard [][]batchEntry
-	pending  atomic.Int32
-}
-
-// batchJob is what shard workers consume: one shard's slice of a batch,
-// plus the scratch to release when done. A job with a non-nil barrier
-// carries no packets — it exists so Barrier can wait for queue drain.
-type batchJob struct {
-	entries []batchEntry
-	owner   *batchScratch
-	barrier *sync.WaitGroup
-}
-
-// pipeline is the running per-shard worker set.
-type pipeline struct {
-	queues    []chan batchJob
-	wg        sync.WaitGroup
-	processed atomic.Int64
-	errs      atomic.Int64
-
-	mu       sync.Mutex
-	firstErr error
-}
-
-// PipelineStats summarizes pipelined processing so far.
-type PipelineStats struct {
-	// Processed counts packets handed to shard engines by the workers.
-	Processed int
-	// Errors counts Engine errors surfaced through the pipelined path
-	// (strict-mode classification failures); FirstErr keeps the earliest.
-	Errors   int
-	FirstErr error
-}
-
-// StartPipeline switches the engine into pipelined mode: one worker
-// goroutine per shard, each draining a bounded queue of batch jobs
-// (queueDepth jobs per shard; zero selects DefaultPipelineDepth).
-// ProcessBatch then returns after enqueuing instead of after processing.
-// Callers must quiesce all ProcessBatch/Process callers and call Barrier
-// before FlushIdle/FlushAll or checkpoint export, and must StopPipeline
-// before discarding the engine.
-func (pe *ParallelEngine) StartPipeline(queueDepth int) error {
-	if queueDepth < 0 {
-		return fmt.Errorf("flow: negative pipeline queue depth %d", queueDepth)
-	}
-	if queueDepth == 0 {
-		queueDepth = DefaultPipelineDepth
-	}
-	pl := &pipeline{queues: make([]chan batchJob, len(pe.shards))}
-	for i := range pl.queues {
-		pl.queues[i] = make(chan batchJob, queueDepth)
-	}
-	if !pe.pl.CompareAndSwap(nil, pl) {
-		return errors.New("flow: pipeline already started")
-	}
-	pl.wg.Add(len(pe.shards))
-	for i, shard := range pe.shards {
-		go pl.run(pe, shard, pl.queues[i])
-	}
-	return nil
-}
-
-// StopPipeline closes the shard queues, waits for the workers to drain
-// them, and returns the engine to synchronous mode. No ProcessBatch or
-// Barrier call may be in flight or arrive afterwards until a new
-// StartPipeline.
-func (pe *ParallelEngine) StopPipeline() error {
-	pl := pe.pl.Swap(nil)
-	if pl == nil {
-		return errors.New("flow: pipeline not started")
-	}
-	for _, q := range pl.queues {
-		close(q)
-	}
-	pl.wg.Wait()
-	return nil
-}
-
-// Pipelined reports whether the engine currently runs shard workers.
-func (pe *ParallelEngine) Pipelined() bool { return pe.pl.Load() != nil }
-
-// PipelineStats returns the pipelined-path counters (zero when the
-// pipeline never ran).
-func (pe *ParallelEngine) PipelineStats() PipelineStats {
-	pl := pe.pl.Load()
-	if pl == nil {
-		return PipelineStats{}
-	}
-	pl.mu.Lock()
-	first := pl.firstErr
-	pl.mu.Unlock()
-	return PipelineStats{
-		Processed: int(pl.processed.Load()),
-		Errors:    int(pl.errs.Load()),
-		FirstErr:  first,
-	}
-}
-
-// Barrier blocks until every batch enqueued before the call has been fully
-// processed. It is a no-op when the pipeline is not running. Work enqueued
-// concurrently with Barrier is not waited for.
-func (pe *ParallelEngine) Barrier() {
-	pl := pe.pl.Load()
-	if pl == nil {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(pl.queues))
-	for _, q := range pl.queues {
-		q <- batchJob{barrier: &wg}
-	}
-	wg.Wait()
-}
-
-// run is one shard worker. It survives processing panics (counted as
-// errors) so a poisoned packet cannot wedge the whole pipeline.
-func (pl *pipeline) run(pe *ParallelEngine, shard *Engine, q chan batchJob) {
-	defer pl.wg.Done()
-	for job := range q {
-		if job.barrier != nil {
-			job.barrier.Done()
-			continue
-		}
-		pl.process(pe, shard, job)
-	}
-}
-
-// process drains one job into its shard and releases the batch scratch.
-func (pl *pipeline) process(pe *ParallelEngine, shard *Engine, job batchJob) {
-	defer job.owner.release(pe)
-	defer func() {
-		if r := recover(); r != nil {
-			pl.fail(fmt.Errorf("flow: shard worker panic: %v", r))
-		}
-	}()
-	for i := range job.entries {
-		e := &job.entries[i]
-		if _, err := shard.ProcessID(e.id, &e.pkt); err != nil {
-			pl.fail(err)
-		}
-	}
-	pl.processed.Add(int64(len(job.entries)))
-}
-
-// fail counts one pipelined-path error, keeping the first.
-func (pl *pipeline) fail(err error) {
-	pl.errs.Add(1)
-	pl.mu.Lock()
-	if pl.firstErr == nil {
-		pl.firstErr = err
-	}
-	pl.mu.Unlock()
-}
-
-// release returns the scratch to the pool once every shard slice of its
-// batch has been processed.
-func (sc *batchScratch) release(pe *ParallelEngine) {
-	if sc.pending.Add(-1) != 0 {
-		return
-	}
-	for i := range sc.perShard {
-		sc.perShard[i] = sc.perShard[i][:0]
-	}
-	pe.scratch.Put(sc)
 }
 
 // getScratch returns a partition buffer shaped for this engine's shard
@@ -222,57 +46,36 @@ func (pe *ParallelEngine) getScratch() *batchScratch {
 	return sc
 }
 
+// putScratch empties the partition buffer and returns it to the pool.
+func (pe *ParallelEngine) putScratch(sc *batchScratch) {
+	for i := range sc.perShard {
+		sc.perShard[i] = sc.perShard[i][:0]
+	}
+	pe.scratch.Put(sc)
+}
+
 // ProcessBatch routes every packet of batch to its flow's shard in a
-// single partition pass (one SHA-1 per packet, total). In synchronous mode
-// each shard's slice is processed inline and the per-packet errors come
-// back joined, with the count of failed packets. In pipelined mode the
-// slices are handed to the shard workers — ProcessBatch returns once the
-// batch is enqueued (blocking only when a shard queue is full, which is
-// the backpressure signal) and processing errors surface later through
-// PipelineStats.
+// single partition pass (one SHA-1 per packet, total), processes each
+// shard's slice inline, and returns the count of failed packets with
+// their errors joined.
 //
 // Packets of one flow must be submitted from one goroutine for per-flow
-// order to be defined, exactly as with Process. The packet structs may be
-// reused once ProcessBatch returns; the payload bytes may not be modified
-// until the batch has been processed (after Barrier, in pipelined mode).
+// order to be defined, exactly as with Process. The packet structs and
+// their payload bytes may be reused once ProcessBatch returns.
 func (pe *ParallelEngine) ProcessBatch(batch []*packet.Packet) (int, error) {
 	if len(batch) == 0 {
 		return 0, nil
 	}
 	sc := pe.getScratch()
-	nShards := uint64(len(pe.shards))
+	defer pe.putScratch(sc)
 	for _, p := range batch {
 		if p == nil {
-			// Nothing was enqueued yet: hand the scratch back clean.
-			sc.pending.Store(1)
-			sc.release(pe)
 			return len(batch), errors.New("flow: nil packet in batch")
 		}
 		id := IDOf(p.Tuple)
-		s := binary.BigEndian.Uint64(id[:8]) % nShards
+		s := pe.shardIndex(id)
 		sc.perShard[s] = append(sc.perShard[s], batchEntry{id: id, pkt: *p})
 	}
-
-	if pl := pe.pl.Load(); pl != nil {
-		jobs := 0
-		for _, entries := range sc.perShard {
-			if len(entries) > 0 {
-				jobs++
-			}
-		}
-		// The submitter holds one reference of its own (jobs+1) while it
-		// iterates perShard: without it, the worker of an early job could
-		// release and recycle the scratch out from under the enqueue loop.
-		sc.pending.Store(int32(jobs) + 1)
-		for s, entries := range sc.perShard {
-			if len(entries) > 0 {
-				pl.queues[s] <- batchJob{entries: entries, owner: sc}
-			}
-		}
-		sc.release(pe)
-		return 0, nil
-	}
-
 	var (
 		failed int
 		errs   []error
@@ -286,7 +89,5 @@ func (pe *ParallelEngine) ProcessBatch(batch []*packet.Packet) (int, error) {
 			}
 		}
 	}
-	sc.pending.Store(1)
-	sc.release(pe)
 	return failed, errors.Join(errs...)
 }

@@ -60,7 +60,7 @@ func replaySequential(t *testing.T, trace *packet.Trace, shards int) *ParallelEn
 	return ref
 }
 
-// assertBatchMatches compares a batched/pipelined replay against the
+// assertBatchMatches compares a batched replay against the
 // sequential reference: identical aggregate stats, the §6 conservation
 // law, and an identical label for every flow.
 func assertBatchMatches(t *testing.T, trace *packet.Trace, got, want *ParallelEngine) {
@@ -82,7 +82,7 @@ func assertBatchMatches(t *testing.T, trace *packet.Trace, got, want *ParallelEn
 }
 
 // replayBatches drives trace through ProcessBatch in fixed-size chunks and
-// flushes, barriering first when pipelined.
+// flushes.
 func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk int) {
 	t.Helper()
 	var maxSeen time.Duration
@@ -106,13 +106,12 @@ func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk 
 		}
 	}
 	flush()
-	pe.Barrier()
 	if _, err := pe.FlushAll(maxSeen + time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestProcessBatchMatchesSequential proves the synchronous batch path is
+// TestProcessBatchMatchesSequential proves the batch path is
 // observationally identical to per-packet Process.
 func TestProcessBatchMatchesSequential(t *testing.T) {
 	trace := testTrace(t, 120, 11)
@@ -123,95 +122,8 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchMatchesSequential proves the pipelined path — shard
-// workers behind bounded queues — preserves every verdict, counter, and
-// the conservation law.
-func TestPipelinedBatchMatchesSequential(t *testing.T) {
-	trace := testTrace(t, 120, 13)
-	for _, shards := range []int{1, 2, 4} {
-		pe := newBatchEngine(t, shards)
-		if err := pe.StartPipeline(4); err != nil {
-			t.Fatal(err)
-		}
-		replayBatches(t, pe, trace, 32)
-		if err := pe.StopPipeline(); err != nil {
-			t.Fatal(err)
-		}
-		ps := pe.PipelineStats()
-		if ps.Errors != 0 || ps.FirstErr != nil {
-			t.Fatalf("pipeline errors: %+v", ps)
-		}
-		assertBatchMatches(t, trace, pe, replaySequential(t, trace, shards))
-	}
-}
-
-// TestPipelineBarrierCompletes pins Barrier's contract: after it returns,
-// every packet enqueued beforehand has reached its shard.
-func TestPipelineBarrierCompletes(t *testing.T) {
-	trace := testTrace(t, 60, 17)
-	pe := newBatchEngine(t, 4)
-	if err := pe.StartPipeline(2); err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]*packet.Packet, 0, len(trace.Packets))
-	data := 0
-	for i := range trace.Packets {
-		batch = append(batch, &trace.Packets[i])
-		if trace.Packets[i].IsData() {
-			data++
-		}
-	}
-	if _, err := pe.ProcessBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	pe.Barrier()
-	if got := pe.PipelineStats().Processed; got != len(trace.Packets) {
-		t.Errorf("Processed = %d after Barrier, want %d", got, len(trace.Packets))
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelineLifecycle pins the mode-switching contract.
-func TestPipelineLifecycle(t *testing.T) {
-	pe := newBatchEngine(t, 2)
-	if pe.Pipelined() {
-		t.Error("fresh engine reports pipelined")
-	}
-	pe.Barrier() // must be a no-op, not a hang
-	if err := pe.StopPipeline(); err == nil {
-		t.Error("StopPipeline without StartPipeline: want error")
-	}
-	if err := pe.StartPipeline(-1); err == nil {
-		t.Error("negative depth: want error")
-	}
-	if err := pe.StartPipeline(0); err != nil {
-		t.Fatal(err)
-	}
-	if !pe.Pipelined() {
-		t.Error("engine not pipelined after StartPipeline")
-	}
-	if err := pe.StartPipeline(0); err == nil {
-		t.Error("double StartPipeline: want error")
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-	if pe.Pipelined() {
-		t.Error("engine still pipelined after StopPipeline")
-	}
-	// The engine must be restartable.
-	if err := pe.StartPipeline(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestProcessBatchNilPacket pins the error contract: a nil packet fails
-// the whole batch before anything is enqueued.
+// the whole batch before any packet is processed.
 func TestProcessBatchNilPacket(t *testing.T) {
 	pe := newBatchEngine(t, 2)
 	tp := tuple(4000, packet.TCP)
@@ -231,7 +143,7 @@ func TestProcessBatchNilPacket(t *testing.T) {
 }
 
 // TestProcessBatchSurfacesClassifyErrors pins strict-mode error
-// accounting through the synchronous batch path.
+// accounting through the batch path.
 func TestProcessBatchSurfacesClassifyErrors(t *testing.T) {
 	pe, err := NewParallelEngine(EngineConfig{
 		BufferSize: 2,

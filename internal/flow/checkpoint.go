@@ -28,25 +28,28 @@ func (e *Engine) ExportCheckpoint() []byte {
 }
 
 func (e *Engine) exportCheckpointLocked() []byte {
-	// e.mu is held, so no counter moves while the snapshot is encoded —
-	// atomic loads here read a mutually consistent set.
-	r := e.restored.Load()
-	var enc persist.Encoder
-	enc.U32(uint32(corpus.NumClasses))
-	for i := range e.ec.queued {
-		enc.I64(e.ec.queued[i].Load() + int64(r.QueueCounts[i]))
-	}
-	enc.I64(e.ec.classified.Load() + int64(r.Classified))
+	// e.mu is held, so no counter moves while the snapshot is taken: Stats
+	// reads a mutually consistent set, restored baselines included.
+	s := e.Stats()
 	// Pending flows are not persisted, so they must not count as admitted
 	// in the snapshot or the conservation law breaks on resume.
-	enc.I64(e.ec.admitted.Load() + int64(r.Admitted) - int64(len(e.pend)))
-	enc.I64(e.ec.shed.Load() + int64(r.Shed))
-	enc.I64(e.ec.evicted.Load() + int64(r.Evicted))
-	enc.I64(e.ec.dropped.Load() + int64(r.Dropped))
-	enc.I64(e.ec.failed.Load() + int64(r.Failed))
-	enc.I64(e.ec.fallback.Load() + int64(r.Fallback))
-	enc.Blob(e.cdb.exportLocked())
+	s.Admitted -= s.Pending
+	var enc persist.Encoder
+	enc.U32(uint32(corpus.NumClasses))
+	for _, f := range checkpointFields(&s) {
+		enc.I64(int64(*f))
+	}
+	enc.Blob(e.table.cdb.Export())
 	return enc.Bytes()
+}
+
+// checkpointFields lists the counters a checkpoint carries, in wire order.
+func checkpointFields(s *EngineStats) []*int {
+	fields := make([]*int, 0, corpus.NumClasses+7)
+	for i := range s.QueueCounts {
+		fields = append(fields, &s.QueueCounts[i])
+	}
+	return append(fields, &s.Classified, &s.Admitted, &s.Shed, &s.Evicted, &s.Dropped, &s.Failed, &s.Fallback)
 }
 
 // ImportCheckpoint restores a checkpoint written by ExportCheckpoint
@@ -56,7 +59,6 @@ func (e *Engine) exportCheckpointLocked() []byte {
 // persist.ErrCorrupt and leaves the engine unchanged.
 func (e *Engine) ImportCheckpoint(data []byte) error {
 	d := persist.NewDecoder(data)
-	var s EngineStats
 	nClasses := int(d.U32())
 	if d.Err() == nil && nClasses != corpus.NumClasses {
 		d.Fail("checkpoint has %d classes, engine has %d", nClasses, corpus.NumClasses)
@@ -64,33 +66,22 @@ func (e *Engine) ImportCheckpoint(data []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("flow: checkpoint import: %w", err)
 	}
-	counters := make([]int64, 0, corpus.NumClasses+7)
-	for i := 0; i < corpus.NumClasses+7; i++ {
-		counters = append(counters, d.I64())
+	var s EngineStats
+	for _, f := range checkpointFields(&s) {
+		c := d.I64()
+		if d.Err() == nil && c < 0 {
+			d.Fail("negative checkpoint counter %d", c)
+		}
+		*f = int(c)
 	}
 	blob := d.Blob()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("flow: checkpoint import: %w", err)
 	}
-	for _, c := range counters {
-		if c < 0 {
-			return fmt.Errorf("%w: negative checkpoint counter %d", persist.ErrCorrupt, c)
-		}
-	}
-	for i := 0; i < corpus.NumClasses; i++ {
-		s.QueueCounts[i] = int(counters[i])
-	}
-	s.Classified = int(counters[corpus.NumClasses+0])
-	s.Admitted = int(counters[corpus.NumClasses+1])
-	s.Shed = int(counters[corpus.NumClasses+2])
-	s.Evicted = int(counters[corpus.NumClasses+3])
-	s.Dropped = int(counters[corpus.NumClasses+4])
-	s.Failed = int(counters[corpus.NumClasses+5])
-	s.Fallback = int(counters[corpus.NumClasses+6])
 
 	// Validate and import the CDB payload before touching engine state so
 	// a corrupt checkpoint leaves the engine untouched.
-	if err := e.cdb.Import(blob); err != nil {
+	if err := e.table.cdb.Import(blob); err != nil {
 		return fmt.Errorf("flow: checkpoint import: %w", err)
 	}
 	e.mu.Lock()
@@ -98,36 +89,28 @@ func (e *Engine) ImportCheckpoint(data []byte) error {
 	// The restored baseline is an immutable snapshot behind an atomic
 	// pointer (so the lock-free Stats can fold it in); build the updated
 	// copy and publish it whole.
-	next := *e.restored.Load()
-	next.Classified += s.Classified
-	next.Admitted += s.Admitted
-	next.Shed += s.Shed
-	next.Evicted += s.Evicted
-	next.Dropped += s.Dropped
-	next.Failed += s.Failed
-	next.Fallback += s.Fallback
-	for i := range s.QueueCounts {
-		next.QueueCounts[i] += s.QueueCounts[i]
-	}
-	e.restored.Store(&next)
+	next := *e.sink.restored.Load()
+	next.add(s)
+	e.sink.restored.Store(&next)
 	return nil
 }
 
 // maybeCheckpoint fires the configured OnCheckpoint hook when enough
 // flows have been classified since the last snapshot. It is called
-// outside the engine lock so the hook may call any engine method.
+// outside the engine lock so the hook may call any engine method; the
+// two fields it reads without the lock are immutable (see Engine.cfg).
 func (e *Engine) maybeCheckpoint() {
-	cfg := e.cfg
-	if cfg.OnCheckpoint == nil || cfg.CheckpointEvery <= 0 {
+	every, hook := e.cfg.CheckpointEvery, e.cfg.OnCheckpoint
+	if hook == nil || every <= 0 {
 		return
 	}
 	e.mu.Lock()
-	if e.sinceCkpt < cfg.CheckpointEvery {
+	if e.sink.sinceCkpt < every {
 		e.mu.Unlock()
 		return
 	}
-	e.sinceCkpt = 0
+	e.sink.sinceCkpt = 0
 	blob := e.exportCheckpointLocked()
 	e.mu.Unlock()
-	cfg.OnCheckpoint(blob)
+	hook(blob)
 }

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iustitia/internal/appheader"
 	"iustitia/internal/corpus"
 	"iustitia/internal/entest"
 	"iustitia/internal/packet"
-	"iustitia/internal/stats"
 )
 
 // Classifier labels a buffered payload prefix with its content nature.
@@ -55,7 +53,9 @@ type StreamConfig struct {
 	// per-flow counter budget.
 	Epsilon float64
 	Delta   float64
-	// Sketch selects the per-width backend (default entest.SketchLall).
+	// Sketch selects the per-width backend. iustitia-serve defaults to
+	// entest.SketchCC, the backend the benchmark measures; the zero value
+	// stays entest.SketchLall because the kind is on the sketch wire format.
 	Sketch entest.SketchKind
 	// Seed drives the sketches' sampling streams. It is engine-wide — every
 	// shard of a ParallelEngine uses the same value — so a sketch exported
@@ -114,8 +114,9 @@ type EngineConfig struct {
 	Faults FaultPolicy
 	// LabelCap bounds the ground-truth label map consulted by Label:
 	// 0 keeps every label forever (the original behaviour), n > 0 keeps
-	// only the n most recently labelled flows, negative disables label
-	// tracking entirely.
+	// only the n most recently labelled flows, negative keeps no per-flow
+	// results at all — no labels, no FillStats — for a long-running node
+	// that reads neither (RecordedLabel still answers from the CDB).
 	LabelCap int
 	// CheckpointEvery, with OnCheckpoint, fires a durable snapshot after
 	// every N classified flows. Zero disables periodic checkpoints;
@@ -144,16 +145,9 @@ type Verdict struct {
 	Fallback bool
 }
 
-// pending is a flow still filling its buffer — or, in stream mode, still
-// feeding its sketch (buf stays nil; sv and seen carry the flow's state).
-type pending struct {
-	buf []byte
-	// sv is the flow's constant-memory sketch (stream mode only),
-	// allocated lazily on the first buffered payload byte.
-	sv *entest.StreamVector
-	// seen counts payload bytes consumed into sv, playing buf's length
-	// role for the classification trigger.
-	seen       int
+// flowProgress is the part of a pending flow that is not payload: header
+// handling and timing. Checkpoints and migrations carry it verbatim.
+type flowProgress struct {
 	skipLeft   int
 	checkedHdr bool
 	// headerCont is set when a recognized HTTP header did not finish
@@ -166,80 +160,36 @@ type pending struct {
 	firstSeen   time.Duration
 	lastSeen    time.Duration
 	packets     int
-	// elem is this flow's slot in the engine's recency list, used for
+}
+
+// pending is a flow that has not been classified yet.
+type pending struct {
+	acc accumulator
+	flowProgress
+	// elem is this flow's slot in the table's recency list, used for
 	// O(1) eviction of the least-recently-active flow at MaxPending.
 	elem *list.Element
 }
-
-// hasData reports whether the flow has consumed any payload — buffered
-// bytes in exact mode, sketched bytes in stream mode. Flows without data
-// are dropped rather than classified at flush and eviction.
-func (fl *pending) hasData() bool { return len(fl.buf) > 0 || fl.seen > 0 }
 
 // maxHeaderSpan caps how many bytes a multi-packet application header may
 // consume before the engine gives up and buffers raw payload.
 const maxHeaderSpan = 8 << 10
 
-// FillStats records buffering-delay measurements for one classified flow
-// (the Figure 10 quantities).
-type FillStats struct {
-	// Packets is c: how many data packets were needed to fill the buffer.
-	Packets int
-	// Delay is τ_b: virtual time from the flow's first buffered packet to
-	// classification.
-	Delay time.Duration
-}
-
 // Engine is the online flow classifier. It is safe for concurrent use,
-// though trace replay is typically sequential.
+// though trace replay is typically sequential. Its state is grouped along
+// four seams: the per-flow accumulator (accumulator.go), the flow table
+// (table.go), the decider (decider.go) and the sink (sink.go).
 type Engine struct {
+	// cfg is immutable after NewEngine. The live-tunable MaxPending,
+	// Eviction and IdleFlush are copied into table and read only there.
 	cfg EngineConfig
-	cdb *CDB
+	acc *accumulatorSpec
 
-	// Stream mode (immutable after NewEngine): the vector-capable view of
-	// cfg.Classifier and the assembled per-flow sketch configuration.
-	vclf VectorClassifier
-	scfg entest.StreamConfig
-
-	mu       sync.Mutex
-	rng      *rand.Rand // guarded by mu; drives random-skip draws
-	pend     map[ID]*pending
-	lru      *list.List // pending flow IDs, least recently active first
-	fills    []FillStats
-	labelled map[ID]corpus.Class // ground-truth-comparable outcomes, by flow
-
-	// Bounded label-map ring (LabelCap > 0): labelRing holds the ids
-	// currently in labelled in insertion order, head/count delimit it.
-	labelRing  []ID
-	labelHead  int
-	labelCount int
-
-	// Governor accounting: the padded atomic block Stats() snapshots
-	// lock-free (see counters.go). Mutated under e.mu except where noted.
-	ec engineCounters
-
-	// Governor internals (guarded by mu); not exported by Stats, so they
-	// stay plain ints.
-	consecFails int // consecutive classifier failures
-	sinceProbe  int // classify attempts since the last degraded-mode probe
-
-	// Checkpoint state: classifications since the last periodic snapshot
-	// (guarded by mu), and the counter baselines restored by
-	// ImportCheckpoint (folded into Stats so counts continue across a
-	// restart). restored is an atomic pointer to an immutable snapshot so
-	// the lock-free Stats can fold it in; ImportCheckpoint replaces the
-	// whole value under mu.
-	sinceCkpt int
-	restored  atomic.Pointer[EngineStats]
-
-	// Live-ops instrumentation: per-shard classification latency histogram
-	// (log2-microsecond bins, lock-free — see latencyHistogram), and a
-	// small ring of recently classified full payload buffers (guarded by
-	// mu) used to shadow-test hot-swap candidate models against real
-	// traffic (buffered mode only; stream mode discards payload by design).
-	latency    *stats.ConcurrentHistogram
-	samples    [][]byte
-	sampleNext int
+	mu      sync.Mutex
+	rng     *rand.Rand // guarded by mu; drives random-skip draws
+	table   flowTable  // guarded by mu, except the CDB (own lock)
+	decider decider    // guarded by mu
+	sink    sink       // guarded by mu, except its atomics
 }
 
 // NewEngine validates cfg and builds an engine.
@@ -265,59 +215,34 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.FallbackClass < 0 || cfg.FallbackClass >= corpus.NumClasses {
 		return nil, fmt.Errorf("flow: fallback class %d out of range", int(cfg.FallbackClass))
 	}
+	acc, err := newAccumulatorSpec(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		cfg:     cfg,
-		cdb:     NewCDB(cfg.CDB),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		pend:    make(map[ID]*pending),
-		lru:     list.New(),
-		latency: newLatencyHistogram(),
+		cfg: cfg,
+		acc: acc,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		table: flowTable{
+			pend:       make(map[ID]*pending),
+			lru:        list.New(),
+			cdb:        NewCDB(cfg.CDB),
+			maxPending: cfg.MaxPending,
+			eviction:   cfg.Eviction,
+			idleFlush:  cfg.IdleFlush,
+		},
+		decider: decider{faults: cfg.Faults.withDefaults(), fallback: cfg.FallbackClass},
 	}
-	e.restored.Store(&EngineStats{})
-	if cfg.Stream != nil {
-		vclf, ok := cfg.Classifier.(VectorClassifier)
-		if !ok {
-			return nil, fmt.Errorf("flow: stream mode needs a VectorClassifier, %T does not implement it", cfg.Classifier)
-		}
-		e.vclf = vclf
-		e.scfg = entest.StreamConfig{
-			Epsilon:     cfg.Stream.Epsilon,
-			Delta:       cfg.Stream.Delta,
-			Widths:      vclf.FeatureWidths(),
-			ExpectedLen: cfg.BufferSize,
-			Seed:        cfg.Stream.Seed,
-			Kind:        cfg.Stream.Sketch,
-		}
-		// Probe the configuration now so a bad (ε, δ, widths) combination
-		// fails at construction, not on the first flow's packet.
-		if _, err := entest.NewStreamVectorConfig(e.scfg); err != nil {
-			return nil, fmt.Errorf("flow: stream mode: %w", err)
-		}
-	}
-	if cfg.LabelCap >= 0 {
-		e.labelled = make(map[ID]corpus.Class)
-	}
+	e.sink.init(cfg.LabelCap)
 	return e, nil
 }
 
-// streaming reports whether the engine runs in constant-memory stream mode.
-func (e *Engine) streaming() bool { return e.cfg.Stream != nil }
-
 // StreamCounters returns the per-flow counter budget of stream mode (the
 // resident state replacing the b-byte buffer), or 0 for a buffered engine.
-func (e *Engine) StreamCounters() int {
-	if !e.streaming() {
-		return 0
-	}
-	sv, err := entest.NewStreamVectorConfig(e.scfg)
-	if err != nil {
-		return 0
-	}
-	return sv.Counters()
-}
+func (e *Engine) StreamCounters() int { return e.acc.counters }
 
 // CDB exposes the engine's classification database for inspection.
-func (e *Engine) CDB() *CDB { return e.cdb }
+func (e *Engine) CDB() *CDB { return e.table.cdb }
 
 // Process handles one packet at its virtual capture time and returns the
 // engine's verdict.
@@ -339,20 +264,19 @@ func (e *Engine) ProcessID(id ID, p *packet.Packet) (Verdict, error) {
 	// TCP teardown: purge the CDB record; the packet itself carries no
 	// payload to route.
 	if p.Flags.Has(packet.FlagFIN) || p.Flags.Has(packet.FlagRST) {
-		e.cdb.Close(id)
+		e.table.cdb.Close(id)
 		e.mu.Lock()
-		if fl := e.pend[id]; fl != nil {
-			e.retireLocked(id, fl)
-			e.ec.dropped.Add(1)
+		if fl := e.table.pend[id]; fl != nil {
+			e.dropLocked(id, fl)
 		}
 		e.mu.Unlock()
 		return Verdict{}, nil
 	}
 
-	if label, ok := e.cdb.Lookup(id, p.Time); ok {
+	if label, ok := e.table.cdb.Lookup(id, p.Time); ok {
 		// The CDB-hit fast path — the common case once a flow is labelled —
-		// no longer takes e.mu at all: the queue counter is atomic.
-		e.ec.queued[label].Add(1)
+		// never takes e.mu: the queue counter is atomic.
+		e.sink.ec.queued[label].Add(1)
 		return Verdict{Queue: label, Routed: true, FromCDB: true}, nil
 	}
 	if !p.IsData() {
@@ -370,21 +294,18 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	fl := e.pend[id]
+	fl := e.table.pend[id]
 	if fl == nil {
-		if e.cfg.MaxPending > 0 && len(e.pend) >= e.cfg.MaxPending {
-			if e.cfg.Eviction == EvictShed {
+		if e.table.full() {
+			if e.table.eviction == EvictShed {
 				return e.shedLocked(id, p.Time), nil
 			}
 			e.evictOneLocked(p.Time)
 		}
-		fl = &pending{firstSeen: p.Time, skipLeft: -1}
-		fl.elem = e.lru.PushBack(id)
-		e.pend[id] = fl
-		e.ec.admitted.Add(1)
-		e.ec.pending.Add(1)
+		fl = &pending{acc: accumulator{spec: e.acc}, flowProgress: flowProgress{firstSeen: p.Time, skipLeft: -1}}
+		e.admitLocked(id, fl)
 	} else {
-		e.lru.MoveToBack(fl.elem)
+		e.table.lru.MoveToBack(fl.elem)
 	}
 	fl.lastSeen = p.Time
 	fl.packets++
@@ -393,9 +314,10 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 	if !fl.checkedHdr {
 		// First data packet decides header handling for the whole flow.
 		fl.checkedHdr = true
-		fl.skipLeft = 0
+		fl.skipLeft = e.cfg.HeaderThreshold
 		if e.cfg.StripKnownHeaders {
 			if stripped, proto := appheader.Strip(payload); proto != appheader.Unknown {
+				fl.skipLeft = 0
 				if proto == appheader.HTTP && len(stripped) == 0 {
 					// The header did not finish in this packet: keep
 					// discarding until its blank-line terminator.
@@ -404,11 +326,7 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 					fl.headerSpent = len(payload)
 				}
 				payload = stripped
-			} else {
-				fl.skipLeft = e.cfg.HeaderThreshold
 			}
-		} else {
-			fl.skipLeft = e.cfg.HeaderThreshold
 		}
 		if e.cfg.RandomSkipMax > 0 {
 			fl.skipLeft += e.rng.Intn(e.cfg.RandomSkipMax + 1)
@@ -425,38 +343,8 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 		fl.skipLeft = 0
 	}
 
-	if e.streaming() {
-		// Constant-memory path: payload streams into the sketch and is
-		// gone — only the counters and the byte tally persist.
-		need := e.cfg.BufferSize - fl.seen
-		if len(payload) > need {
-			payload = payload[:need]
-		}
-		if len(payload) > 0 {
-			if fl.sv == nil {
-				sv, err := entest.NewStreamVectorConfig(e.scfg)
-				if err != nil {
-					// Unreachable: the config was probed at NewEngine.
-					return Verdict{}, fmt.Errorf("flow: stream sketch: %w", err)
-				}
-				fl.sv = sv
-			}
-			fl.sv.Write(payload)
-			fl.seen += len(payload)
-		}
-		if fl.seen < e.cfg.BufferSize {
-			return Verdict{}, nil
-		}
-		return e.classifyLocked(id, fl, p.Time)
-	}
-
-	need := e.cfg.BufferSize - len(fl.buf)
-	if len(payload) > need {
-		payload = payload[:need]
-	}
-	fl.buf = append(fl.buf, payload...)
-
-	if len(fl.buf) < e.cfg.BufferSize {
+	fl.acc.write(payload)
+	if !fl.acc.ready() {
 		return Verdict{}, nil
 	}
 	return e.classifyLocked(id, fl, p.Time)
@@ -479,7 +367,7 @@ func tailOf(chunk []byte) []byte {
 // still open, returning the content bytes after its terminator (nil while
 // the header continues). After maxHeaderSpan bytes it gives up and buffers
 // payload raw.
-func (fl *pending) continueHeader(payload []byte) []byte {
+func (fl *flowProgress) continueHeader(payload []byte) []byte {
 	joined := append(append([]byte(nil), fl.headerTail...), payload...)
 	if i := bytes.Index(joined, headerTerminator); i >= 0 {
 		fl.headerCont = false
@@ -496,52 +384,25 @@ func (fl *pending) continueHeader(payload []byte) []byte {
 	return nil
 }
 
-// retireLocked removes a flow from the pending table and the recency
-// list. Caller holds e.mu.
-func (e *Engine) retireLocked(id ID, fl *pending) {
-	delete(e.pend, id)
-	e.ec.pending.Add(-1)
-	if fl.elem != nil {
-		e.lru.Remove(fl.elem)
-		fl.elem = nil
-	}
-}
-
-// classifyLocked labels a filled (or flushed) buffer, updates the CDB and
+// classifyLocked labels a ready (or flushed) flow, updates the CDB and
 // queues, and retires the pending state. The flow is retired on every
 // path — including classification failure — so no flow is ever
 // re-classified on each subsequent packet. Caller holds e.mu.
 func (e *Engine) classifyLocked(id ID, fl *pending, now time.Duration) (Verdict, error) {
 	e.retireLocked(id, fl)
-	var label corpus.Class
-	var fellBack bool
-	var err error
 	start := time.Now()
-	if e.streaming() {
-		label, fellBack, err = e.decideStreamLocked(fl.sv)
-	} else {
-		label, fellBack, err = e.decideLocked(fl.buf)
-	}
-	e.latency.Observe(latencyBinValue(time.Since(start)))
+	label, fellBack, err := e.decider.decide(&fl.acc, &e.sink.ec)
+	e.sink.latency.Observe(latencyBinValue(time.Since(start)))
 	if err != nil {
-		e.ec.dropped.Add(1)
+		e.sink.ec.dropped.Add(1)
 		return Verdict{}, fmt.Errorf("flow: classify: %w", err)
 	}
-	if !fellBack && !e.streaming() && len(fl.buf) >= e.cfg.BufferSize {
-		e.recordSampleLocked(fl.buf)
-	}
-	e.cdb.Insert(id, label, now)
-	e.recordLabelLocked(id, label)
-	e.ec.queued[label].Add(1)
-	e.sinceCkpt++
+	e.table.cdb.Insert(id, label, now)
+	e.sink.routed(id, label)
 	if fellBack {
-		e.ec.fallback.Add(1)
+		e.sink.ec.fallback.Add(1)
 	} else {
-		e.ec.classified.Add(1)
-		e.fills = append(e.fills, FillStats{
-			Packets: fl.packets,
-			Delay:   now - fl.firstSeen,
-		})
+		e.sink.classified(fl, now)
 	}
 	return Verdict{Queue: label, Routed: true, Classified: true, Fallback: fellBack}, nil
 }
@@ -554,7 +415,7 @@ func (e *Engine) FlushIdle(now time.Duration) (int, error) {
 	// The predicate runs under e.mu (flush holds it), which is what makes
 	// IdleFlush safe to retune live via SetIdleFlush.
 	n, err := e.flush(func(fl *pending) bool {
-		idle := e.cfg.IdleFlush
+		idle := e.table.idleFlush
 		return idle > 0 && now-fl.lastSeen >= idle
 	}, now)
 	e.maybeCheckpoint()
@@ -578,13 +439,12 @@ func (e *Engine) flush(due func(*pending) bool, now time.Duration) (int, error) 
 	defer e.mu.Unlock()
 	flushed := 0
 	var errs []error
-	for id, fl := range e.pend {
+	for id, fl := range e.table.pend {
 		if !due(fl) {
 			continue
 		}
-		if !fl.hasData() {
-			e.retireLocked(id, fl)
-			e.ec.dropped.Add(1)
+		if !fl.acc.hasData() {
+			e.dropLocked(id, fl)
 			continue
 		}
 		if _, err := e.classifyLocked(id, fl, now); err != nil {
@@ -594,32 +454,6 @@ func (e *Engine) flush(due func(*pending) bool, now time.Duration) (int, error) 
 		flushed++
 	}
 	return flushed, errors.Join(errs...)
-}
-
-// Label returns the engine's class decision for a flow, if it was
-// classified.
-func (e *Engine) Label(t packet.FiveTuple) (corpus.Class, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	label, ok := e.labelled[IDOf(t)]
-	return label, ok
-}
-
-// RecordedLabel returns a flow's durable verdict: the label assigned this
-// process lifetime, or the CDB record carried across a checkpoint
-// restore. Unlike Label it survives a rolling restart (the labelled map
-// is rebuilt lazily from CDB hits, so restored verdicts would otherwise
-// be invisible until the flow's next packet); unlike CDB.Lookup it does
-// not perturb the record's activity clock.
-func (e *Engine) RecordedLabel(t packet.FiveTuple) (corpus.Class, bool) {
-	id := IDOf(t)
-	e.mu.Lock()
-	label, ok := e.labelled[id]
-	e.mu.Unlock()
-	if ok {
-		return label, true
-	}
-	return e.cdb.Peek(id)
 }
 
 // EngineStats is a point-in-time summary of engine activity. The
@@ -687,24 +521,24 @@ func (a *EngineStats) add(s EngineStats) {
 // inconsistent (e.g. Admitted bumped before Classified); the
 // conservation law is exact at quiescence.
 func (e *Engine) Stats() EngineStats {
-	r := e.restored.Load()
+	ec, r := &e.sink.ec, e.sink.restored.Load()
 	s := EngineStats{
-		Pending:     int(e.ec.pending.Load()),
-		Classified:  int(e.ec.classified.Load()) + r.Classified,
-		CDB:         e.cdb.Stats(),
-		Admitted:    int(e.ec.admitted.Load()) + r.Admitted,
-		Shed:        int(e.ec.shed.Load()) + r.Shed,
-		Evicted:     int(e.ec.evicted.Load()) + r.Evicted,
-		Dropped:     int(e.ec.dropped.Load()) + r.Dropped,
-		Failed:      int(e.ec.failed.Load()) + r.Failed,
-		Fallback:    int(e.ec.fallback.Load()) + r.Fallback,
-		MigratedIn:  int(e.ec.migratedIn.Load()),
-		MigratedOut: int(e.ec.migratedOut.Load()),
+		Pending:     int(ec.pending.Load()),
+		Classified:  int(ec.classified.Load()) + r.Classified,
+		CDB:         e.table.cdb.Stats(),
+		Admitted:    int(ec.admitted.Load()) + r.Admitted,
+		Shed:        int(ec.shed.Load()) + r.Shed,
+		Evicted:     int(ec.evicted.Load()) + r.Evicted,
+		Dropped:     int(ec.dropped.Load()) + r.Dropped,
+		Failed:      int(ec.failed.Load()) + r.Failed,
+		Fallback:    int(ec.fallback.Load()) + r.Fallback,
+		MigratedIn:  int(ec.migratedIn.Load()),
+		MigratedOut: int(ec.migratedOut.Load()),
 	}
 	for i := range s.QueueCounts {
-		s.QueueCounts[i] = int(e.ec.queued[i].Load()) + r.QueueCounts[i]
+		s.QueueCounts[i] = int(ec.queued[i].Load()) + r.QueueCounts[i]
 	}
-	if e.ec.degraded.Load() {
+	if ec.degraded.Load() {
 		s.Degraded = 1
 	}
 	return s
@@ -713,13 +547,5 @@ func (e *Engine) Stats() EngineStats {
 // Degraded reports whether the engine is currently short-circuiting
 // classification to the fallback queue. Lock-free.
 func (e *Engine) Degraded() bool {
-	return e.ec.degraded.Load()
-}
-
-// FillStats returns a copy of the per-flow buffering measurements gathered
-// so far.
-func (e *Engine) FillStats() []FillStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]FillStats(nil), e.fills...)
+	return e.sink.ec.degraded.Load()
 }

@@ -332,15 +332,38 @@ func TestEngineLabelCapBoundsMap(t *testing.T) {
 	}
 }
 
+// TestEngineLabelCapDisabled is iustitia-serve's setting: a long-running
+// node that reads neither Label nor FillStats keeps no per-flow results,
+// however many flows it classifies, while verdicts stay readable from the
+// CDB.
 func TestEngineLabelCapDisabled(t *testing.T) {
-	e := newTestEngine(t, EngineConfig{BufferSize: 2, LabelCap: -1})
-	if _, err := e.Process(dataPacket(tuple(1, packet.TCP), 0, "TT")); err != nil {
-		t.Fatal(err)
+	e := newTestEngine(t, EngineConfig{
+		BufferSize: 2,
+		LabelCap:   -1,
+		CDB:        CDBConfig{PurgeOnClose: true, PurgeInactive: true, N: 4},
+	})
+	const flows = 500
+	for i := uint16(1); i <= flows; i++ {
+		if v, err := e.Process(dataPacket(tuple(i, packet.TCP), 0, "TT")); err != nil || !v.Classified {
+			t.Fatalf("flow %d: verdict %+v err %v", i, v, err)
+		}
+	}
+	if n := len(e.FillStats()); n != 0 {
+		t.Errorf("result tracking disabled but %d FillStats were kept", n)
+	}
+	if n := len(e.sink.labelled); n != 0 {
+		t.Errorf("result tracking disabled but %d labels were kept", n)
 	}
 	if _, ok := e.Label(tuple(1, packet.TCP)); ok {
 		t.Error("label tracking disabled but Label returned a result")
 	}
+	if label, ok := e.RecordedLabel(tuple(flows, packet.TCP)); !ok || label != corpus.Text {
+		t.Errorf("RecordedLabel = (%v, %v), want the CDB's verdict", label, ok)
+	}
 	// Classification itself is unaffected.
+	if got := e.Stats().Classified; got != flows {
+		t.Errorf("Classified = %d, want %d", got, flows)
+	}
 	if v, err := e.Process(dataPacket(tuple(1, packet.TCP), time.Millisecond, "TT")); err != nil || !v.FromCDB {
 		t.Errorf("verdict %+v err %v, want CDB hit", v, err)
 	}

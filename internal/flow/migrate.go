@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"iustitia/internal/corpus"
-	"iustitia/internal/entest"
 	"iustitia/internal/persist"
 )
 
@@ -27,23 +26,14 @@ import (
 // holds on both engines throughout. MigratedIn/MigratedOut count the
 // moved flows for the cluster soak's assertions.
 
-// pendingExport is one mid-buffer flow in wire-portable form. Exactly one
-// of buf (exact mode) and sketch (stream mode) is non-empty; seen carries
-// the stream-mode byte tally so the classification trigger survives the
-// move.
+// pendingExport is one mid-buffer flow in wire-portable form. buf, sketch
+// and seen are the flow's accumulator snapshot (see accumulator.snapshot).
 type pendingExport struct {
-	id          ID
-	firstSeen   time.Duration
-	lastSeen    time.Duration
-	packets     int
-	skipLeft    int
-	seen        int
-	checkedHdr  bool
-	headerCont  bool
-	headerSpent int
-	buf         []byte
-	headerTail  []byte
-	sketch      []byte
+	id ID
+	flowProgress
+	seen   int
+	buf    []byte
+	sketch []byte
 }
 
 // flowExport is a decoded migration payload: pending flows plus CDB
@@ -142,52 +132,36 @@ func decodeFlowExport(data []byte) (flowExport, error) {
 }
 
 // takeFlows removes every pending flow and CDB record whose ID matches
-// pred and returns them, deterministically ordered. The removed pending
-// flows decrement admitted (the checkpoint convention) and count as
-// MigratedOut.
+// pred and returns them (gatherFlows orders the merged result). The
+// removed pending flows decrement admitted (the checkpoint convention) and
+// count as MigratedOut.
 func (e *Engine) takeFlows(pred func(ID) bool) flowExport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var fx flowExport
-	for id, fl := range e.pend {
+	for id, fl := range e.table.pend {
 		if !pred(id) {
 			continue
 		}
 		fx.pendings = append(fx.pendings, exportPending(id, fl))
 		e.retireLocked(id, fl)
-		e.ec.admitted.Add(-1)
-		e.ec.migratedOut.Add(1)
+		e.sink.ec.admitted.Add(-1)
+		e.sink.ec.migratedOut.Add(1)
 	}
-	sortPendings(fx.pendings)
-	fx.records = e.cdb.takeEntries(pred)
+	fx.records = e.table.cdb.takeEntries(pred)
 	// A migrated verdict must be readable on exactly one node: drop the
 	// moved flows from the local ground-truth map so RecordedLabel stops
 	// answering for them here.
-	if e.labelled != nil {
-		for _, ent := range fx.records {
-			delete(e.labelled, ent.id)
-		}
+	for _, ent := range fx.records {
+		delete(e.sink.labelled, ent.id)
 	}
 	return fx
 }
 
 func exportPending(id ID, fl *pending) pendingExport {
-	p := pendingExport{
-		id:          id,
-		firstSeen:   fl.firstSeen,
-		lastSeen:    fl.lastSeen,
-		packets:     fl.packets,
-		skipLeft:    fl.skipLeft,
-		seen:        fl.seen,
-		checkedHdr:  fl.checkedHdr,
-		headerCont:  fl.headerCont,
-		headerSpent: fl.headerSpent,
-		buf:         append([]byte(nil), fl.buf...),
-		headerTail:  append([]byte(nil), fl.headerTail...),
-	}
-	if fl.sv != nil {
-		p.sketch = fl.sv.ExportState()
-	}
+	p := pendingExport{id: id, flowProgress: fl.flowProgress}
+	p.headerTail = append([]byte(nil), fl.headerTail...)
+	p.buf, p.sketch, p.seen = fl.acc.snapshot()
 	return p
 }
 
@@ -199,52 +173,14 @@ func sortPendings(ps []pendingExport) {
 // the node-checkpoint variant, where the CDB already travels inside the
 // engine checkpoint and the pending flows ride alongside so a SIGKILLed
 // node's mid-buffer flows survive the restart.
-func (e *Engine) snapshotPendings() []pendingExport {
+func (e *Engine) snapshotPendings() flowExport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ps := make([]pendingExport, 0, len(e.pend))
-	for id, fl := range e.pend {
-		ps = append(ps, exportPending(id, fl))
+	var fx flowExport
+	for id, fl := range e.table.pend {
+		fx.pendings = append(fx.pendings, exportPending(id, fl))
 	}
-	sortPendings(ps)
-	return ps
-}
-
-// convertModeLocked reconciles an imported flow's payload state with this
-// engine's mode. Same-mode imports restore directly: a sketch blob decodes
-// into a fresh StreamVector, a buffer is kept as-is. Cross-mode imports
-// convert what is convertible — a buffered prefix replays into a fresh
-// sketch (exact → stream), while a sketch arriving at a buffered engine is
-// discarded (payload bytes are unrecoverable from counters) and the flow
-// resumes buffering from zero. A sketch blob that fails to decode (foreign
-// counter geometry, corruption) likewise resets the flow's stream state
-// rather than poisoning estimates. Caller holds e.mu.
-func (e *Engine) convertModeLocked(fl *pending, sketch []byte) {
-	if !e.streaming() {
-		fl.seen = 0
-		return
-	}
-	if len(sketch) > 0 {
-		if sv, err := entest.NewStreamVectorConfig(e.scfg); err == nil {
-			if err := sv.ImportState(sketch); err == nil {
-				fl.sv = sv
-				fl.buf = nil
-				return
-			}
-		}
-	}
-	if len(fl.buf) > 0 {
-		if sv, err := entest.NewStreamVectorConfig(e.scfg); err == nil {
-			sv.Write(fl.buf)
-			fl.sv = sv
-			fl.seen = len(fl.buf)
-			fl.buf = nil
-			return
-		}
-	}
-	fl.sv = nil
-	fl.buf = nil
-	fl.seen = 0
+	return fx
 }
 
 // installFlows adds a decoded export to this engine. Installed pending
@@ -256,77 +192,50 @@ func (e *Engine) installFlows(fx flowExport, migration bool) int {
 	e.mu.Lock()
 	moved := 0
 	for _, p := range fx.pendings {
-		if _, exists := e.pend[p.id]; exists {
+		if _, exists := e.table.pend[p.id]; exists {
 			continue
 		}
-		if e.cfg.MaxPending > 0 && len(e.pend) >= e.cfg.MaxPending {
+		if e.table.full() {
 			e.evictOneLocked(p.lastSeen)
 		}
-		fl := &pending{
-			buf:         p.buf,
-			seen:        p.seen,
-			skipLeft:    p.skipLeft,
-			checkedHdr:  p.checkedHdr,
-			headerCont:  p.headerCont,
-			headerTail:  p.headerTail,
-			headerSpent: p.headerSpent,
-			firstSeen:   p.firstSeen,
-			lastSeen:    p.lastSeen,
-			packets:     p.packets,
-		}
-		e.convertModeLocked(fl, p.sketch)
-		fl.elem = e.lru.PushBack(p.id)
-		e.pend[p.id] = fl
-		e.ec.admitted.Add(1)
-		e.ec.pending.Add(1)
+		fl := &pending{acc: e.acc.restore(p.buf, p.sketch), flowProgress: p.flowProgress}
+		e.admitLocked(p.id, fl)
 		if migration {
-			e.ec.migratedIn.Add(1)
+			e.sink.ec.migratedIn.Add(1)
 		}
 		moved++
 		// Guard against a buffer-size mismatch between nodes: a flow
 		// already at or over this engine's b classifies immediately, since
-		// processData would otherwise never trigger it (and the exact path
-		// would slice out of bounds).
-		if len(fl.buf) >= e.cfg.BufferSize || (e.streaming() && fl.seen >= e.cfg.BufferSize) {
+		// no later packet would trigger it.
+		if fl.acc.ready() {
 			_, _ = e.classifyLocked(p.id, fl, p.lastSeen)
 		}
 	}
 	e.mu.Unlock()
 	if len(fx.records) > 0 {
-		moved += e.cdb.installEntries(fx.records)
+		moved += e.table.cdb.installEntries(fx.records)
 		if migration {
-			e.ec.migratedIn.Add(int64(len(fx.records)))
+			e.sink.ec.migratedIn.Add(int64(len(fx.records)))
 		}
 	}
 	return moved
 }
 
-// ExportFlows removes and serializes every pending flow and CDB record
-// matched by pred — the losing side of a flow-table migration.
-func (e *Engine) ExportFlows(pred func(ID) bool) []byte {
-	return encodeFlowExport(e.takeFlows(pred))
-}
-
-// ImportFlows installs a payload written by ExportFlows — the gaining
-// side of a flow-table migration. It returns how many pending flows plus
-// CDB records landed. Hostile input returns an error wrapping
-// persist.ErrCorrupt and leaves the engine unchanged.
-func (e *Engine) ImportFlows(data []byte) (int, error) {
-	fx, err := decodeFlowExport(data)
-	if err != nil {
-		return 0, err
-	}
-	return e.installFlows(fx, true), nil
-}
-
 // ExportFlows removes and serializes every matching pending flow and CDB
-// record across all shards into one flat payload. The payload is not
+// record across all shards into one flat payload — the losing side of a
+// flow-table migration. The payload is not
 // shard-pinned: ImportFlows re-routes every flow by ID, so source and
 // destination may run different shard counts.
 func (pe *ParallelEngine) ExportFlows(pred func(ID) bool) []byte {
+	return pe.gatherFlows(func(e *Engine) flowExport { return e.takeFlows(pred) })
+}
+
+// gatherFlows merges every shard's export into one deterministically
+// ordered payload.
+func (pe *ParallelEngine) gatherFlows(export func(*Engine) flowExport) []byte {
 	var all flowExport
 	for _, shard := range pe.shards {
-		fx := shard.takeFlows(pred)
+		fx := export(shard)
 		all.pendings = append(all.pendings, fx.pendings...)
 		all.records = append(all.records, fx.records...)
 	}
@@ -335,9 +244,18 @@ func (pe *ParallelEngine) ExportFlows(pred func(ID) bool) []byte {
 	return encodeFlowExport(all)
 }
 
-// ImportFlows installs a migration payload, routing each flow to its
-// shard by ID.
+// ImportFlows installs a payload written by ExportFlows — the gaining
+// side of a flow-table migration — routing each flow to its shard by ID.
+// It returns how many pending flows plus CDB records landed. Hostile input
+// returns an error wrapping persist.ErrCorrupt and leaves the engine
+// unchanged.
 func (pe *ParallelEngine) ImportFlows(data []byte) (int, error) {
+	return pe.importRouted(data, true)
+}
+
+// importRouted decodes a flow export and installs every flow on the shard
+// its ID maps to.
+func (pe *ParallelEngine) importRouted(data []byte, migration bool) (int, error) {
 	fx, err := decodeFlowExport(data)
 	if err != nil {
 		return 0, err
@@ -353,7 +271,7 @@ func (pe *ParallelEngine) ImportFlows(data []byte) (int, error) {
 	}
 	moved := 0
 	for i, shard := range pe.shards {
-		moved += shard.installFlows(perShard[i], true)
+		moved += shard.installFlows(perShard[i], migration)
 	}
 	return moved, nil
 }
@@ -362,34 +280,12 @@ func (pe *ParallelEngine) ImportFlows(data []byte) (int, error) {
 // them — the in-flight section of a node checkpoint (the CDB and
 // counters travel in the engine checkpoint alongside).
 func (pe *ParallelEngine) ExportPending() []byte {
-	var all flowExport
-	for _, shard := range pe.shards {
-		all.pendings = append(all.pendings, shard.snapshotPendings()...)
-	}
-	sortPendings(all.pendings)
-	return encodeFlowExport(all)
+	return pe.gatherFlows((*Engine).snapshotPendings)
 }
 
 // ImportPending installs a payload written by ExportPending into a
 // freshly restored engine. Unlike ImportFlows it does not count the
 // flows as migrated: they never left the node, they survived its crash.
 func (pe *ParallelEngine) ImportPending(data []byte) (int, error) {
-	fx, err := decodeFlowExport(data)
-	if err != nil {
-		return 0, err
-	}
-	perShard := make([]flowExport, len(pe.shards))
-	for _, p := range fx.pendings {
-		i := pe.shardIndex(p.id)
-		perShard[i].pendings = append(perShard[i].pendings, p)
-	}
-	for _, ent := range fx.records {
-		i := pe.shardIndex(ent.id)
-		perShard[i].records = append(perShard[i].records, ent)
-	}
-	moved := 0
-	for i, shard := range pe.shards {
-		moved += shard.installFlows(perShard[i], false)
-	}
-	return moved, nil
+	return pe.importRouted(data, false)
 }

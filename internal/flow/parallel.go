@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iustitia/internal/corpus"
 	"iustitia/internal/packet"
 	"iustitia/internal/persist"
+	"iustitia/internal/stats"
 )
 
 // ParallelEngine shards flows across independent engines by flow ID, so a
@@ -21,10 +21,7 @@ import (
 type ParallelEngine struct {
 	shards []*Engine
 
-	// pl is the optional pipelined-mode worker set (see batch.go); nil
-	// while the engine is synchronous. scratch pools the batch partition
-	// buffers.
-	pl      atomic.Pointer[pipeline]
+	// scratch pools ProcessBatch's partition buffers (see batch.go).
 	scratch sync.Pool
 }
 
@@ -81,13 +78,13 @@ func (pe *ParallelEngine) Process(p *packet.Packet) (Verdict, error) {
 	return pe.shardFor(IDOf(p.Tuple)).Process(p)
 }
 
-// FlushIdle flushes idle pending flows on every shard. A failing shard
+// eachShard runs f on every shard and sums the counts. A failing shard
 // does not stop the others; per-shard errors come back joined.
-func (pe *ParallelEngine) FlushIdle(now time.Duration) (int, error) {
+func (pe *ParallelEngine) eachShard(f func(*Engine) (int, error)) (int, error) {
 	total := 0
 	var errs []error
 	for i, shard := range pe.shards {
-		n, err := shard.FlushIdle(now)
+		n, err := f(shard)
 		total += n
 		if err != nil {
 			errs = append(errs, fmt.Errorf("flow: shard %d: %w", i, err))
@@ -96,19 +93,33 @@ func (pe *ParallelEngine) FlushIdle(now time.Duration) (int, error) {
 	return total, errors.Join(errs...)
 }
 
-// FlushAll flushes every pending flow on every shard. A failing shard
-// does not stop the others; per-shard errors come back joined.
+// FlushIdle flushes idle pending flows on every shard.
+func (pe *ParallelEngine) FlushIdle(now time.Duration) (int, error) {
+	return pe.eachShard(func(e *Engine) (int, error) { return e.FlushIdle(now) })
+}
+
+// FlushAll flushes every pending flow on every shard.
 func (pe *ParallelEngine) FlushAll(now time.Duration) (int, error) {
-	total := 0
-	var errs []error
-	for i, shard := range pe.shards {
-		n, err := shard.FlushAll(now)
-		total += n
-		if err != nil {
-			errs = append(errs, fmt.Errorf("flow: shard %d: %w", i, err))
-		}
-	}
-	return total, errors.Join(errs...)
+	return pe.eachShard(func(e *Engine) (int, error) { return e.FlushAll(now) })
+}
+
+// SetMaxPending applies the cap to every shard. The cap is per shard,
+// matching how EngineConfig.MaxPending is interpreted at construction.
+func (pe *ParallelEngine) SetMaxPending(n int) error {
+	_, err := pe.eachShard(func(e *Engine) (int, error) { return 0, e.SetMaxPending(n) })
+	return err
+}
+
+// SetEviction applies the eviction policy to every shard.
+func (pe *ParallelEngine) SetEviction(p EvictPolicy) error {
+	_, err := pe.eachShard(func(e *Engine) (int, error) { return 0, e.SetEviction(p) })
+	return err
+}
+
+// SetIdleFlush applies the idle-flush window to every shard.
+func (pe *ParallelEngine) SetIdleFlush(d time.Duration) error {
+	_, err := pe.eachShard(func(e *Engine) (int, error) { return 0, e.SetIdleFlush(d) })
+	return err
 }
 
 // Label returns the classification of a flow, if any shard has one.
@@ -132,6 +143,25 @@ func (pe *ParallelEngine) RecordedLabel(t packet.FiveTuple) (corpus.Class, bool)
 // TestParallelStreamCountersUniform.
 func (pe *ParallelEngine) StreamCounters() int {
 	return pe.shards[0].StreamCounters()
+}
+
+// SampleBuffers pools every shard's shadow-sample ring.
+func (pe *ParallelEngine) SampleBuffers() [][]byte {
+	var all [][]byte
+	for _, shard := range pe.shards {
+		all = append(all, shard.SampleBuffers()...)
+	}
+	return all
+}
+
+// LatencyHistograms returns one latency snapshot per shard, in shard
+// order.
+func (pe *ParallelEngine) LatencyHistograms() []*stats.Histogram {
+	hs := make([]*stats.Histogram, len(pe.shards))
+	for i, shard := range pe.shards {
+		hs[i] = shard.LatencyHistogram()
+	}
+	return hs
 }
 
 // Stats aggregates counters across shards. Degraded is the number of

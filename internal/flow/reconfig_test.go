@@ -154,3 +154,41 @@ func TestLatencyHistogramAndSampleRing(t *testing.T) {
 		}
 	}
 }
+
+// TestSetRacesProcessBatch drives packets on one goroutine while another
+// retunes every live knob and exports checkpoints. The packet path reads
+// the checkpoint cadence after each data packet; that read must not touch
+// the fields the setters write under the engine lock, and a checkpoint
+// must read the CDB under the CDB's own lock, which the lock-free hit path
+// writes under. Meaningful under -race.
+func TestSetRacesProcessBatch(t *testing.T) {
+	pe := newBatchEngine(t, 2)
+	trace := testTrace(t, 200, 5)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := pe.SetMaxPending(64 + i%64); err != nil {
+				t.Error(err)
+			}
+			if err := pe.SetEviction(EvictPolicy(i % 3)); err != nil {
+				t.Error(err)
+			}
+			if err := pe.SetIdleFlush(time.Duration(i%5) * time.Second); err != nil {
+				t.Error(err)
+			}
+			if len(pe.ExportCheckpoint()) == 0 {
+				t.Error("empty checkpoint")
+			}
+		}
+	}()
+	replayBatches(t, pe, trace, 16)
+	close(stop)
+	<-done
+	assertConservation(t, pe.Stats())
+}

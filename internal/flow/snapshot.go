@@ -91,10 +91,6 @@ func decodeCDBEntries(data []byte) ([]cdbEntry, error) {
 func (c *CDB) Export() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.exportLocked()
-}
-
-func (c *CDB) exportLocked() []byte {
 	all := make([]cdbEntry, 0, len(c.records))
 	for id, rec := range c.records {
 		all = append(all, cdbEntry{id, rec})

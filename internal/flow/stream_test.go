@@ -121,10 +121,9 @@ func TestStreamEngineClassifiesWithoutBuffering(t *testing.T) {
 					t.Fatalf("flow %d routed before its %d bytes streamed", i, b)
 				}
 				// White box: mid-flow state is the sketch, never a buffer.
-				fl := stream.pend[IDOf(tp)]
-				if fl == nil || fl.buf != nil || fl.sv == nil || fl.seen != off+64 {
-					t.Fatalf("flow %d pending state: buf=%v sv=%v seen=%d, want nil buffer, live sketch, %d bytes",
-						i, fl.buf, fl.sv, fl.seen, off+64)
+				fl := stream.table.pend[IDOf(tp)]
+				if fl == nil || fl.acc.buf != nil || fl.acc.sv == nil || fl.acc.consumed() != off+64 {
+					t.Fatalf("flow %d pending state: %+v, want nil buffer, live sketch, %d bytes", i, fl, off+64)
 				}
 			}
 		}
@@ -266,12 +265,15 @@ func TestStreamMigrationMovesSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	payload := src.ExportFlows(func(ID) bool { return true })
-	if n, err := dst.ImportFlows(payload); err != nil || n != 1 {
-		t.Fatalf("ImportFlows = (%d, %v), want (1, nil)", n, err)
+	fx, err := decodeFlowExport(encodeFlowExport(src.takeFlows(func(ID) bool { return true })))
+	if err != nil {
+		t.Fatal(err)
 	}
-	fl := dst.pend[IDOf(tp)]
-	if fl == nil || fl.sv == nil || fl.seen != 100 || fl.buf != nil {
+	if n := dst.installFlows(fx, true); n != 1 {
+		t.Fatalf("installFlows = %d, want 1", n)
+	}
+	fl := dst.table.pend[IDOf(tp)]
+	if fl == nil || fl.acc.sv == nil || fl.acc.consumed() != 100 || fl.acc.buf != nil {
 		t.Fatalf("migrated flow state: %+v, want a live sketch with 100 bytes seen", fl)
 	}
 	v, err := dst.Process(dataPacket(tp, time.Second, string(f.Data[100:])))
@@ -286,83 +288,6 @@ func TestStreamMigrationMovesSketch(t *testing.T) {
 	if src.Stats().MigratedOut != 1 || dst.Stats().MigratedIn != 1 {
 		t.Fatalf("migration counters: out %d, in %d", src.Stats().MigratedOut, dst.Stats().MigratedIn)
 	}
-}
-
-// Cross-mode migration, buffered source: the buffered prefix replays into
-// a fresh sketch on the stream-mode gaining node.
-func TestStreamMigrationConvertsExactBuffer(t *testing.T) {
-	const b = 256
-	src, err := NewEngine(EngineConfig{BufferSize: b, Classifier: newVecClassifier()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := NewEngine(streamEngineConfig(newVecClassifier(), b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := corpus.NewGenerator(9)
-	f, err := gen.File(corpus.Binary, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := tuple(6100, packet.TCP)
-	if _, err := src.Process(dataPacket(tp, 0, string(f.Data[:128]))); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := dst.ImportFlows(src.ExportFlows(func(ID) bool { return true })); err != nil || n != 1 {
-		t.Fatalf("ImportFlows = (%d, %v), want (1, nil)", n, err)
-	}
-	fl := dst.pend[IDOf(tp)]
-	if fl == nil || fl.sv == nil || fl.seen != 128 || fl.buf != nil {
-		t.Fatalf("converted flow state: %+v, want sketch seeded from the 128-byte buffer", fl)
-	}
-	v, err := dst.Process(dataPacket(tp, time.Second, string(f.Data[128:])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Classified {
-		t.Fatalf("verdict after conversion %+v, want classified", v)
-	}
-	assertConservation(t, dst.Stats())
-}
-
-// Cross-mode migration, stream source: payload bytes are unrecoverable
-// from counters, so the buffered gaining node restarts the flow's buffer —
-// the flow survives, it just buffers from zero.
-func TestStreamMigrationToExactRestartsBuffer(t *testing.T) {
-	const b = 64
-	src, err := NewEngine(streamEngineConfig(newVecClassifier(), b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := NewEngine(EngineConfig{BufferSize: b, Classifier: newVecClassifier()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := corpus.NewGenerator(13)
-	f, err := gen.File(corpus.Text, 2*b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := tuple(6200, packet.TCP)
-	if _, err := src.Process(dataPacket(tp, 0, string(f.Data[:32]))); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := dst.ImportFlows(src.ExportFlows(func(ID) bool { return true })); err != nil || n != 1 {
-		t.Fatalf("ImportFlows = (%d, %v), want (1, nil)", n, err)
-	}
-	fl := dst.pend[IDOf(tp)]
-	if fl == nil || fl.sv != nil || fl.seen != 0 || len(fl.buf) != 0 {
-		t.Fatalf("stream→exact flow state: %+v, want an empty restarted buffer", fl)
-	}
-	v, err := dst.Process(dataPacket(tp, time.Second, string(f.Data[:b])))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Classified {
-		t.Fatalf("verdict after buffering restart %+v, want classified", v)
-	}
-	assertConservation(t, dst.Stats())
 }
 
 // Eviction under MaxPending classifies the victim on its partial sketch,
@@ -393,32 +318,6 @@ func TestStreamEvictClassifyPartial(t *testing.T) {
 	assertConservation(t, s)
 }
 
-// A hostile sketch blob inside a migration payload must not poison the
-// gaining engine: the flow is installed with restarted stream state.
-func TestStreamMigrationCorruptSketchRestarts(t *testing.T) {
-	const b = 64
-	e, err := NewEngine(streamEngineConfig(newVecClassifier(), b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx := flowExport{pendings: []pendingExport{{
-		id:         IDOf(tuple(7100, packet.TCP)),
-		lastSeen:   time.Second,
-		packets:    1,
-		seen:       32,
-		checkedHdr: true,
-		sketch:     []byte{0xde, 0xad, 0xbe, 0xef},
-	}}}
-	if n, err := e.ImportFlows(encodeFlowExport(fx)); err != nil || n != 1 {
-		t.Fatalf("ImportFlows = (%d, %v), want (1, nil)", n, err)
-	}
-	fl := e.pend[IDOf(tuple(7100, packet.TCP))]
-	if fl == nil || fl.sv != nil || fl.seen != 0 {
-		t.Fatalf("corrupt-sketch flow state: %+v, want restarted stream state", fl)
-	}
-	assertConservation(t, e.Stats())
-}
-
 // The sketch seed is engine-wide, not per-shard: a sketch exported by one
 // shard must restore bit-exactly on a shard with a different engine seed.
 func TestStreamShardSeedUniform(t *testing.T) {
@@ -434,10 +333,10 @@ func TestStreamShardSeedUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.scfg.Seed != b.scfg.Seed || a.scfg.Kind != b.scfg.Kind {
-		t.Fatalf("sketch configs diverged across engine seeds: %+v vs %+v", a.scfg, b.scfg)
+	if a.acc.scfg.Seed != b.acc.scfg.Seed || a.acc.scfg.Kind != b.acc.scfg.Kind {
+		t.Fatalf("sketch configs diverged across engine seeds: %+v vs %+v", a.acc.scfg, b.acc.scfg)
 	}
-	if _, err := entest.NewStreamVectorConfig(a.scfg); err != nil {
+	if _, err := entest.NewStreamVectorConfig(a.acc.scfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -42,17 +42,11 @@ func (s *Server) SetOverflow(p OverflowPolicy) error {
 // force.
 func (s *Server) Batch() int { return int(s.batchN.Load()) }
 
-// SetBatch retunes the batch bound live. The per-packet versus batch
-// processing path is chosen structurally when the server is built, so a
-// server configured with Batch 1 cannot be switched to batching (and
-// vice versa the bound may be lowered to 1, which makes each gather take
-// a single packet).
+// SetBatch retunes the batch bound live; the next gather observes it. A
+// bound of 1 makes each gather take a single packet.
 func (s *Server) SetBatch(n int) error {
 	if n < 1 {
 		return fmt.Errorf("ingest: batch size %d is not positive", n)
-	}
-	if s.cfg.Batch <= 1 {
-		return fmt.Errorf("ingest: server was built in per-packet mode; batch size is pinned")
 	}
 	s.batchN.Store(int32(n))
 	return nil

@@ -155,9 +155,9 @@ func TestServerReconfigureMidBurst(t *testing.T) {
 	}
 }
 
-// TestSetBatchPinnedInPerPacketMode pins the structural constraint: a
-// server built per-packet cannot be reconfigured into batching.
-func TestSetBatchPinnedInPerPacketMode(t *testing.T) {
+// TestSetBatchFromOne pins Batch as a size: a server built with a batch
+// of one is retuned like any other, and non-positive bounds are refused.
+func TestSetBatchFromOne(t *testing.T) {
 	l := listenLocal(t)
 	s := startServer(t, Config{
 		Engine:    newTestEngine(t, 1),
@@ -166,8 +166,11 @@ func TestSetBatchPinnedInPerPacketMode(t *testing.T) {
 		Batch:     1,
 	})
 	defer shutdownServer(t, s)
-	if err := s.SetBatch(8); err == nil {
-		t.Error("SetBatch succeeded on a per-packet server")
+	if err := s.SetBatch(8); err != nil || s.Batch() != 8 {
+		t.Errorf("SetBatch(8) on a batch-of-one server: err %v, batch %d", err, s.Batch())
+	}
+	if err := s.SetBatch(0); err == nil {
+		t.Error("SetBatch(0) accepted")
 	}
 }
 

@@ -83,8 +83,7 @@ type Config struct {
 	// in one ProcessBatch call. Workers take whatever is already queued
 	// without waiting, so a lightly loaded server keeps per-packet
 	// latency while a saturated one amortizes routing over the batch.
-	// 1 selects the legacy per-packet path; zero defaults to
-	// DefaultBatch.
+	// Zero defaults to DefaultBatch.
 	Batch int
 	// QueueDepth bounds the total packets queued between readers and
 	// workers (split evenly across workers). Zero defaults to 1024.
@@ -215,8 +214,7 @@ type item struct {
 
 // batchState is the in-progress batch of one worker slot. It lives on the
 // Server rather than the worker's stack so a supervisor restart resumes
-// the batch mid-way: only the packet that crashed the worker is lost,
-// exactly as on the per-packet path.
+// the batch mid-way: only the packet that crashed the worker is lost.
 type batchState struct {
 	items []item
 	// pkts holds the packets that already passed PreProcess and await
@@ -612,17 +610,12 @@ func (s *Server) workerRun(id int) {
 		}
 		s.workerWG.Done()
 	}()
-	if s.cfg.Batch > 1 {
-		bs, q := s.batches[id], s.queues[id]
-		for {
-			if len(bs.items) == 0 && !s.gatherBatch(bs, q) {
-				return
-			}
-			s.runBatch(bs)
+	bs, q := s.batches[id], s.queues[id]
+	for {
+		if len(bs.items) == 0 && !s.gatherBatch(bs, q) {
+			return
 		}
-	}
-	for it := range s.queues[id] {
-		s.processItem(it)
+		s.runBatch(bs)
 	}
 }
 
@@ -690,25 +683,6 @@ func (s *Server) runBatch(bs *batchState) {
 	bs.next = 0
 }
 
-// processItem hands one packet to the engine. The connection credit is
-// released even when the hook or engine panics (the panic then unwinds
-// into workerRun's supervisor).
-func (s *Server) processItem(it item) {
-	defer func() { <-it.credits; s.processed.Add(1) }()
-	if t := int64(it.pkt.Time); t > s.maxSeen.Load() {
-		s.maxSeen.Store(t)
-	}
-	if s.cfg.PreProcess != nil {
-		s.cfg.PreProcess(&it.pkt)
-	}
-	if _, err := s.cfg.Engine.Process(&it.pkt); err != nil {
-		s.mu.Lock()
-		s.engineErrors++
-		s.mu.Unlock()
-	}
-	s.sup.recordSuccess()
-}
-
 // Shutdown drains the server: stop accepting, let connected clients
 // finish (until ctx expires, then force-close them), drain the queues
 // through the workers, flush every pending flow, and hand the final
@@ -768,9 +742,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(q)
 	}
 	s.workerWG.Wait()
-	// If the engine runs in pipelined mode, wait for its shard workers to
-	// drain everything our workers enqueued before flushing.
-	s.cfg.Engine.Barrier()
 
 	// 4. Flush every still-pending flow at a virtual time safely past the
 	// last packet, then persist the final checkpoint.

@@ -209,50 +209,23 @@ func replayThrough(t *testing.T, trace *packet.Trace, cfg Config, addr string, s
 	return s.Stats()
 }
 
-// TestServerPerPacketMode pins Batch: 1 as the legacy per-packet worker
-// path, equivalent to the batched default.
+// TestServerPerPacketMode pins Batch as a size, not a mode: a batch of one
+// and an odd small bound go through the same gather/run path as the
+// default and reach the same verdicts.
 func TestServerPerPacketMode(t *testing.T) {
 	trace := testTrace(t, 60, 21)
-	engine := newTestEngine(t, 2)
-	l := listenLocal(t)
-	cfg := Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2, Batch: 1}
-	s := startServer(t, cfg)
-	st := replayThrough(t, trace, cfg, l.Addr().String(), s)
-	assertConservation(t, st)
-	if st.Admitted != len(trace.Packets) {
-		t.Errorf("admitted %d packets, sent %d", st.Admitted, len(trace.Packets))
+	for _, batch := range []int{1, 7} {
+		engine := newTestEngine(t, 2)
+		l := listenLocal(t)
+		cfg := Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2, Batch: batch}
+		s := startServer(t, cfg)
+		st := replayThrough(t, trace, cfg, l.Addr().String(), s)
+		assertConservation(t, st)
+		if st.Admitted != len(trace.Packets) {
+			t.Errorf("batch %d: admitted %d packets, sent %d", batch, st.Admitted, len(trace.Packets))
+		}
+		assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
 	}
-	assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
-}
-
-// TestServerPipelinedEngine runs the server against an engine in
-// pipelined mode: ingest workers enqueue batches to the shard workers, and
-// Shutdown's barrier guarantees the drain flush sees every packet.
-func TestServerPipelinedEngine(t *testing.T) {
-	trace := testTrace(t, 60, 23)
-	engine := newTestEngine(t, 2)
-	if err := engine.StartPipeline(0); err != nil {
-		t.Fatal(err)
-	}
-	l := listenLocal(t)
-	cfg := Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2}
-	s := startServer(t, cfg)
-	st := replayThrough(t, trace, cfg, l.Addr().String(), s)
-	ps := engine.PipelineStats()
-	if err := engine.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Errors != 0 {
-		t.Fatalf("pipeline errors: %+v", ps)
-	}
-	if ps.Processed != len(trace.Packets) {
-		t.Errorf("pipeline processed %d packets, sent %d", ps.Processed, len(trace.Packets))
-	}
-	assertConservation(t, st)
-	if st.Admitted != len(trace.Packets) {
-		t.Errorf("admitted %d packets, sent %d", st.Admitted, len(trace.Packets))
-	}
-	assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
 }
 
 // TestServerUnixSocket checks the same framing works over a unix socket

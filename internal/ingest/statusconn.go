@@ -87,8 +87,6 @@ func (s *Server) quiesce(timeout time.Duration) (release func(), err error) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Pipelined engines buffer internally past the worker queues.
-	s.cfg.Engine.Barrier()
 	return s.gate.Unlock, nil
 }
 
