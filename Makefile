@@ -17,8 +17,8 @@ race:
 	$(GO) test -race ./...
 
 # The pre-merge gate: static checks, the race detector, the nested
-# benchmark module's own tests, the hot-path allocation-regression gate
-# (run without -race, which skews allocation counts), the
+# benchmark module's own tests, the hot-path allocation-regression and
+# worst-case-time gates (run without -race, which skews both), the
 # networked-ingest chaos soak, the cluster and ops chaos soaks, and a
 # short fuzz smoke over the byte-level parsers and snapshot decoders.
 # Slower than `test`, run before pushing.
@@ -26,7 +26,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-test
-	$(GO) test -run 'TestVectorAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression' -count=1 ./internal/entropy ./internal/entest ./internal/flow
+	$(GO) test -run 'TestVectorAllocRegression|TestZerosWithinBudget|TestClassifyAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression' -count=1 ./internal/entropy ./internal/core ./internal/entest ./internal/flow
 	$(GO) test -run 'TestChaosConnSoak' -count=1 ./internal/ingest
 	$(MAKE) cluster-soak
 	$(MAKE) ops-soak
@@ -64,8 +64,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable hot-path numbers (BENCH_entropy.json): entropy-vector
-# extraction ns/op, B/op, allocs/op at 256B/1KiB/4KiB against the legacy
-# string-keyed baseline, plus flow.ParallelEngine flows/sec over shards
+# extraction ns/op, B/op, allocs/op at 256B/1KiB/4KiB on ten widths and at
+# the 32 B serve default, plus flow.ParallelEngine flows/sec over shards
 # 1/2/4/8. The committed file is the perf trajectory tracked across PRs.
 bench-json:
 	$(GO) run ./cmd/iustitia-benchjson -out BENCH_entropy.json
@@ -94,13 +94,16 @@ examples:
 	$(GO) run ./examples/forensics
 	$(GO) run ./examples/streaming
 
-# Short fuzzing passes over the byte-level parsers and every snapshot
-# decoder (frame, tree, SVM, classifier, CDB, checkpoint).
+# Short fuzzing passes over the byte-level parsers, the entropy
+# differential (refinement vs string-keyed oracle) and every snapshot
+# decoder (frame, tree, SVM, classifier, CDB, checkpoint). Every target
+# `check` smokes for 5 s is here for 30 s, under the same name.
 fuzz:
 	$(GO) test -fuzz=FuzzStrip -fuzztime=30s ./internal/appheader
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s ./internal/packet
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/pcap
 	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/ingest
+	$(GO) test -fuzz=FuzzDifferentialPackedVsLegacy -fuzztime=30s ./internal/entropy
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecodeTree -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecodeSVMModel -fuzztime=30s ./internal/persist

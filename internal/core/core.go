@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"iustitia/internal/corpus"
@@ -366,23 +367,34 @@ func (c *Classifier) UseEstimator(e *entest.Estimator) { c.estimator = e }
 
 // Features computes the classifier's entropy vector for a payload buffer.
 func (c *Classifier) Features(payload []byte) ([]float64, error) {
-	return c.features(c.m.Load(), payload)
+	return c.appendFeatures(nil, c.m.Load(), payload)
 }
 
-func (c *Classifier) features(m *model, payload []byte) ([]float64, error) {
+// appendFeatures appends m's entropy vector of payload to dst (the
+// estimator, when set, returns its own slice instead).
+func (c *Classifier) appendFeatures(dst []float64, m *model, payload []byte) ([]float64, error) {
 	if len(payload) < m.maxWidth {
 		return nil, fmt.Errorf("%w: %d < %d", ErrShortPayload, len(payload), m.maxWidth)
 	}
 	if c.estimator != nil {
 		return c.estimator.Vector(payload, m.widths)
 	}
-	return entropy.VectorAt(payload, m.widths)
+	return entropy.AppendVector(dst, payload, m.widths)
 }
+
+// vecPool recycles the entropy vector of a Classify call, so the exact
+// path allocates nothing per flow. A stack array would not do: the SVM
+// hands the vector to its Kernel interface, which moves it to the heap.
+// Sixteen slots hold every paper width set; a longer one falls back to
+// append's own growth.
+var vecPool = sync.Pool{New: func() any { return new([16]float64) }}
 
 // Classify labels a payload buffer with its content nature.
 func (c *Classifier) Classify(payload []byte) (corpus.Class, error) {
 	m := c.m.Load()
-	vec, err := c.features(m, payload)
+	buf := vecPool.Get().(*[16]float64)
+	defer vecPool.Put(buf)
+	vec, err := c.appendFeatures(buf[:0], m, payload)
 	if err != nil {
 		return 0, err
 	}

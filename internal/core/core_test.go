@@ -164,6 +164,28 @@ func TestTrainAndClassifyBothKinds(t *testing.T) {
 	}
 }
 
+// TestClassifyAllocRegression is the alloc budget gate for buffered
+// classification: with the entropy state and the vector both pooled, a
+// warm Classify allocates nothing, whichever model consumes the vector.
+func TestClassifyAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under the race detector")
+	}
+	payload := pool(t, 1, 1024, 1024, 6)[0].Data
+	for _, kind := range []ModelKind{KindCART, KindSVM} {
+		c := trainSmall(t, kind)
+		classify := func() {
+			if _, err := c.Classify(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		classify() // warm the pools
+		if allocs := testing.AllocsPerRun(50, classify); allocs != 0 {
+			t.Errorf("%v Classify allocs/op = %v, want 0", kind, allocs)
+		}
+	}
+}
+
 func TestTrainUnknownKind(t *testing.T) {
 	files := pool(t, 3, 512, 512, 6)
 	_, err := Train(files, TrainConfig{

@@ -8,12 +8,19 @@ import (
 	"iustitia/internal/stats"
 )
 
+// maxPackedWidth is the widest element whose k-gram fits a single uint64
+// rolling register; widths up to maxWidePackedWidth use a two-word one.
+const (
+	maxPackedWidth     = 8
+	maxWidePackedWidth = 16
+)
+
 // winMode selects how a kgramWin represents the trailing k-1 bytes.
 type winMode uint8
 
 const (
-	winPacked winMode = iota // k <= entropy.MaxPackedWidth: one-word register
-	winWide                  // k <= entropy.MaxWidePackedWidth: two-word register
+	winPacked winMode = iota // k <= maxPackedWidth: one-word register
+	winWide                  // k <= maxWidePackedWidth: two-word register
 	winString                // wider: explicit byte window
 )
 
@@ -36,14 +43,14 @@ type kgramWin struct {
 func newKgramWin(k int) kgramWin {
 	w := kgramWin{k: k}
 	switch {
-	case k <= entropy.MaxPackedWidth:
+	case k <= maxPackedWidth:
 		w.mode = winPacked
 		if k == 8 {
 			w.mask = ^uint64(0)
 		} else {
 			w.mask = 1<<(8*k) - 1
 		}
-	case k <= entropy.MaxWidePackedWidth:
+	case k <= maxWidePackedWidth:
 		w.mode = winWide
 		if k == 16 {
 			w.hiMask = ^uint64(0)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrShortSequence is returned when a sequence is too short to contain a
@@ -25,6 +24,10 @@ var ErrShortSequence = errors.New("entropy: sequence shorter than element width"
 // ErrBadWidths is returned when a requested feature-width set is empty or
 // contains a non-positive width.
 var ErrBadWidths = errors.New("entropy: invalid feature widths")
+
+// ErrLongSequence is returned for a sequence of 4 GiB or more: the exact
+// calculator indexes positions with 32 bits.
+var ErrLongSequence = errors.New("entropy: sequence too long")
 
 // bitsPerByte is the log2 of the byte alphabet size.
 const bitsPerByte = 8
@@ -54,16 +57,6 @@ func CountKGrams(data []byte, k int) (map[string]int, error) {
 	return counts, nil
 }
 
-// countBytes is the fast path for k=1: a fixed array avoids map overhead on
-// the hottest feature.
-func countBytes(data []byte) *[256]int {
-	var counts [256]int
-	for _, b := range data {
-		counts[b]++
-	}
-	return &counts
-}
-
 // H computes the normalized entropy h_k of data treated as a sequence of
 // consecutive k-byte elements over the element set f_k (Formula 1):
 //
@@ -71,71 +64,12 @@ func countBytes(data []byte) *[256]int {
 //
 // The result is in [0, 1]. H returns ErrShortSequence when len(data) < k.
 func H(data []byte, k int) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: element width %d is not positive", ErrBadWidths, k)
-	}
-	if len(data) < k {
-		return 0, ErrShortSequence
-	}
 	widths := [1]int{k}
 	var vec [1]float64
-	if err := vectorInto(vec[:], data, widths[:]); err != nil {
+	if _, err := AppendVector(vec[:0], data, widths[:]); err != nil {
 		return 0, err
 	}
 	return vec[0], nil
-}
-
-// legacyH is the pre-packed-key reference implementation of H: one scan
-// per width, string-keyed counting for k >= 2. It is retained as the
-// differential-test oracle and the allocation baseline for the benchmark
-// harness; the hot path never calls it for k <= 16.
-func legacyH(data []byte, k int) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("%w: element width %d is not positive", ErrBadWidths, k)
-	}
-	if len(data) < k {
-		return 0, ErrShortSequence
-	}
-	n := len(data) - k + 1 // number of elements
-	var sumMLogM float64
-	if k == 1 {
-		counts := countBytes(data)
-		for _, c := range counts {
-			if c > 1 {
-				sumMLogM += float64(c) * math.Log2(float64(c))
-			}
-		}
-	} else {
-		counts, err := CountKGrams(data, k)
-		if err != nil {
-			return 0, err
-		}
-		sumMLogM = sumCLogC(counts)
-	}
-	return NormalizeS(sumMLogM, n, k), nil
-}
-
-// sumCLogC returns Σ c·log2(c) over the count map. Map iteration order is
-// random in Go and float addition is not associative, so the counts are
-// first folded into a count-of-counts histogram and summed in sorted
-// order, making the result bit-identical across runs.
-func sumCLogC(counts map[string]int) float64 {
-	countOfCounts := make(map[int]int)
-	for _, c := range counts {
-		if c > 1 {
-			countOfCounts[c]++
-		}
-	}
-	distinct := make([]int, 0, len(countOfCounts))
-	for c := range countOfCounts {
-		distinct = append(distinct, c)
-	}
-	sort.Ints(distinct)
-	var sum float64
-	for _, c := range distinct {
-		sum += float64(countOfCounts[c]) * float64(c) * math.Log2(float64(c))
-	}
-	return sum
 }
 
 // NormalizeS converts S_k = sum_i m_ik*log2(m_ik) (over n elements of width
@@ -171,11 +105,7 @@ func Vector(data []byte, width int) ([]float64, error) {
 	for k := 1; k <= width; k++ {
 		widths[k-1] = k
 	}
-	vec := make([]float64, width)
-	if err := vectorInto(vec, data, widths); err != nil {
-		return nil, err
-	}
-	return vec, nil
+	return VectorAt(data, widths)
 }
 
 // VectorAt computes only the features named in widths (1-based element
@@ -185,42 +115,41 @@ func Vector(data []byte, width int) ([]float64, error) {
 // (ErrBadWidths otherwise), and data must be at least as long as each
 // width (ErrShortSequence otherwise).
 func VectorAt(data []byte, widths []int) ([]float64, error) {
+	return AppendVector(nil, data, widths)
+}
+
+// AppendVector is VectorAt appending the features to dst: with a dst of
+// sufficient capacity (a stack array, a reused buffer) the exact path
+// allocates nothing. On error dst is returned unchanged.
+func AppendVector(dst []float64, data []byte, widths []int) ([]float64, error) {
+	if err := checkWidths(data, widths); err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	dst = append(dst, make([]float64, len(widths))...)
+	st := refinerPool.Get().(*refiner)
+	st.vector(dst[n:], data, widths)
+	refinerPool.Put(st)
+	return dst, nil
+}
+
+// checkWidths is the argument contract every entry point shares.
+func checkWidths(data []byte, widths []int) error {
+	if uint64(len(data)) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d bytes", ErrLongSequence, len(data))
+	}
 	if len(widths) == 0 {
-		return nil, fmt.Errorf("%w: empty width set", ErrBadWidths)
+		return fmt.Errorf("%w: empty width set", ErrBadWidths)
 	}
 	for _, k := range widths {
 		if k <= 0 {
-			return nil, fmt.Errorf("%w: element width %d is not positive", ErrBadWidths, k)
+			return fmt.Errorf("%w: element width %d is not positive", ErrBadWidths, k)
 		}
 		if len(data) < k {
-			return nil, ErrShortSequence
+			return ErrShortSequence
 		}
 	}
-	vec := make([]float64, len(widths))
-	if err := vectorInto(vec, data, widths); err != nil {
-		return nil, err
-	}
-	return vec, nil
-}
-
-// LegacyVectorAt is the pre-packed-key reference implementation of
-// VectorAt: one full payload scan per width, string-keyed k-gram maps. It
-// exists so the differential tests and the benchmark harness can compare
-// the hot path against the original algorithm; production code should call
-// VectorAt.
-func LegacyVectorAt(data []byte, widths []int) ([]float64, error) {
-	if len(widths) == 0 {
-		return nil, fmt.Errorf("%w: empty width set", ErrBadWidths)
-	}
-	vec := make([]float64, len(widths))
-	for i, k := range widths {
-		h, err := legacyH(data, k)
-		if err != nil {
-			return nil, err
-		}
-		vec[i] = h
-	}
-	return vec, nil
+	return nil
 }
 
 // Prefix returns the entropy vector H_b of the first b bytes of data (or of

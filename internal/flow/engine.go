@@ -318,7 +318,7 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 		if e.cfg.StripKnownHeaders {
 			if stripped, proto := appheader.Strip(payload); proto != appheader.Unknown {
 				fl.skipLeft = 0
-				if proto == appheader.HTTP && len(stripped) == 0 {
+				if proto == appheader.HTTP && len(stripped) == 0 && !endsHeader(payload) {
 					// The header did not finish in this packet: keep
 					// discarding until its blank-line terminator.
 					fl.headerCont = true
@@ -352,6 +352,14 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 
 // headerTerminator ends an HTTP header.
 var headerTerminator = []byte("\r\n\r\n")
+
+// endsHeader reports whether chunk ends in a blank line Strip takes for the
+// end of an HTTP header (bare LF included). Strip leaves nothing both for
+// a header that is still open and for one that closes on the packet's last
+// byte; only the first has more header to discard.
+func endsHeader(chunk []byte) bool {
+	return bytes.HasSuffix(chunk, headerTerminator) || bytes.HasSuffix(chunk, []byte("\n\n"))
+}
 
 // tailOf returns the last len(headerTerminator)-1 bytes of chunk, for
 // matching a terminator split across packet boundaries.

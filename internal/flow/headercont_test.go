@@ -109,3 +109,27 @@ func TestSinglePacketHeaderUnaffected(t *testing.T) {
 		t.Errorf("verdict = %+v", v)
 	}
 }
+
+func TestHeaderEndsOnPacketBoundary(t *testing.T) {
+	// The header's blank line is the last thing in its packet: stripping
+	// leaves nothing, but the header is over, and the body that follows
+	// must be classified exactly as when both arrive in one packet.
+	for _, header := range []string{"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n", "HTTP/1.1 200 OK\n\n"} {
+		e := splitEngine(t, 4)
+		tp := tuple(6104, packet.TCP)
+		if v, err := e.Process(dataPacket(tp, 0, header)); err != nil || v.Classified {
+			t.Fatalf("header packet: verdict = %+v, err = %v; want no verdict yet", v, err)
+		}
+		var v Verdict
+		for i, body := range []string{"BB", "BB"} {
+			var err error
+			v, err = e.Process(dataPacket(tp, time.Duration(i+1)*time.Millisecond, body))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !v.Classified || v.Queue != corpus.Binary {
+			t.Errorf("header %q: verdict = %+v, want binary classification on the body", header, v)
+		}
+	}
+}
