@@ -19,15 +19,19 @@ race:
 # The pre-merge gate: static checks, the race detector, the nested
 # benchmark module's own tests, the hot-path allocation-regression and
 # worst-case-time gates (run without -race, which skews both), the
-# networked-ingest chaos soak, the cluster and ops chaos soaks, and a
-# short fuzz smoke over the byte-level parsers and snapshot decoders.
+# networked-ingest chaos soak, the client's reconnect-ordering fence
+# hammered under the race detector, a smoke of the journal benchmark
+# (ns/op must stay flat in the cap), the cluster and ops chaos soaks, and
+# a short fuzz smoke over the byte-level parsers and snapshot decoders.
 # Slower than `test`, run before pushing.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-test
-	$(GO) test -run 'TestVectorAllocRegression|TestZerosWithinBudget|TestClassifyAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression' -count=1 ./internal/entropy ./internal/core ./internal/entest ./internal/flow
+	$(GO) test -run 'TestVectorAllocRegression|TestZerosWithinBudget|TestClassifyAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression|TestRouteAllocRegression' -count=1 ./internal/entropy ./internal/core ./internal/entest ./internal/flow ./internal/cluster
 	$(GO) test -run 'TestChaosConnSoak' -count=1 ./internal/ingest
+	$(GO) test -race -run 'TestClientReconnectFence' -count=20 ./internal/ingest
+	$(GO) test -run '^$$' -bench 'BenchmarkSendToNodeFullJournal' -benchtime=200x ./internal/cluster
 	$(MAKE) cluster-soak
 	$(MAKE) ops-soak
 	$(GO) test -fuzz=FuzzStrip -fuzztime=5s ./internal/appheader

@@ -190,7 +190,7 @@ func run() error {
 // through the reconnecting frame client: transient transport failures
 // (resets, daemon restarts within the retry budget) cost a resend, not
 // the replay.
-func streamTrace(trace *packet.Trace, tcpAddr, unixPath string, pace time.Duration, retryMax int, backoff time.Duration) error {
+func streamTrace(trace *packet.Trace, tcpAddr, unixPath string, pace time.Duration, retryMax int, backoff time.Duration) (err error) {
 	if tcpAddr != "" && unixPath != "" {
 		return fmt.Errorf("pass -connect or -connect-unix, not both")
 	}
@@ -206,7 +206,11 @@ func streamTrace(trace *packet.Trace, tcpAddr, unixPath string, pace time.Durati
 	if err != nil {
 		return err
 	}
-	defer client.Close()
+	defer func() {
+		if cerr := client.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	start := time.Now()
 	for i := range trace.Packets {
 		if err := client.Send(&trace.Packets[i]); err != nil {
@@ -215,6 +219,10 @@ func streamTrace(trace *packet.Trace, tcpAddr, unixPath string, pace time.Durati
 		if pace > 0 {
 			time.Sleep(pace)
 		}
+	}
+	// Send only queues: the count below is true once Flush says so.
+	if err := client.Flush(); err != nil {
+		return fmt.Errorf("streaming %d packets to %s: %w", len(trace.Packets), addr, err)
 	}
 	cs := client.Stats()
 	fmt.Printf("streamed %d packets to %s in %s (resent %d, reconnects %d, dial failures %d)\n",

@@ -119,7 +119,7 @@ func (r *Router) RemoveNode(name string) error {
 		}
 		if s != nil {
 			s.mu.Lock()
-			s.journal = nil
+			s.journal.drain()
 			s.pendingReplay = false
 			s.mu.Unlock()
 		}
@@ -134,10 +134,9 @@ func (r *Router) RemoveNode(name string) error {
 	var orphans []journalEntry
 	if s != nil {
 		s.mu.Lock()
-		orphans = s.journal
-		s.journal = nil
+		orphans = s.journal.drain()
 		s.mu.Unlock()
-		s.client.Close()
+		_ = s.closeConn() // a dead node fails the flush; its frames are the orphans
 	}
 	if !live && len(orphans) > 0 {
 		r.replayAcross(orphans)
@@ -225,8 +224,12 @@ func (r *Router) migratePair(from, to string, arcs []MovedArc, deadline time.Tim
 	}
 	if s := r.senders[from]; s != nil {
 		s.mu.Lock()
+		err := s.flushLocked()
 		want := s.lastDelivered
 		s.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("quiesce %s: %w", from, err)
+		}
 		if err := awaitSeen(fromH.Config.StatusAddr, want, r.cfg.Probe.timeout(), deadline); err != nil {
 			return fmt.Errorf("quiesce %s: %w", from, err)
 		}
@@ -345,7 +348,7 @@ func importFlows(statusAddr string, frame []byte) (int, error) {
 // ListNodes returns the router's view of every probed node, sorted by
 // name, plus whether each is on the ring.
 func (r *Router) ListNodes() []NodeHealth {
-	health := r.probes.snapshotAll()
+	health := r.probes.view()
 	names := make([]string, 0, len(health))
 	for n := range health {
 		names = append(names, n)
@@ -353,7 +356,7 @@ func (r *Router) ListNodes() []NodeHealth {
 	sort.Strings(names)
 	out := make([]NodeHealth, 0, len(names))
 	for _, n := range names {
-		out = append(out, health[n])
+		out = append(out, *health[n])
 	}
 	return out
 }

@@ -50,7 +50,7 @@ func (r *Router) JournalDepth() int {
 	depth := 0
 	for _, s := range r.senders {
 		s.mu.Lock()
-		depth += len(s.journal)
+		depth += s.journal.len()
 		s.mu.Unlock()
 	}
 	return depth
@@ -71,7 +71,7 @@ func (r *Router) ClusterMetrics() ClusterMetrics {
 		Violations:      st.ConservationViolations,
 		PerNode:         make(map[string]*ops.NodeMetrics),
 	}
-	for name, h := range r.probes.snapshotAll() {
+	for name, h := range r.probes.view() {
 		if h.Metrics == nil {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"iustitia/internal/ingest"
@@ -121,15 +122,29 @@ func ProbeStatus(statusAddr string, timeout time.Duration) (ingest.NodeStatus, e
 	return ingest.ParseStatusLine(string(doc))
 }
 
+// healthView is one immutable generation of the health table. Neither the
+// map nor the NodeHealth values it points at change once published, so
+// routing reads it without a lock or a copy.
+type healthView map[string]*NodeHealth
+
+// available reports whether name is known and routable.
+func (v healthView) available(name string) bool {
+	h := v[name]
+	return h != nil && h.Available()
+}
+
 // prober polls every node's status listener on its own goroutine,
 // maintaining the shared health table and waking routing waiters whenever
 // a node's availability may have changed.
 type prober struct {
 	cfg ProbeConfig
 
+	// health is the current table. Writers replace it under mu (publish);
+	// readers load it (view).
+	health atomic.Pointer[healthView]
+
 	mu      sync.Mutex
 	rng     *rand.Rand
-	health  map[string]*NodeHealth
 	changed chan struct{} // closed and replaced on every update
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -139,24 +154,41 @@ func newProber(cfg ProbeConfig, nodes []NodeConfig) *prober {
 	p := &prober{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		health:  make(map[string]*NodeHealth, len(nodes)),
 		changed: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
+	v := make(healthView, len(nodes))
 	for _, n := range nodes {
-		p.health[n.Name] = &NodeHealth{Config: n}
+		v[n.Name] = &NodeHealth{Config: n}
 	}
+	p.health.Store(&v)
 	return p
 }
 
-func (p *prober) start() {
-	p.mu.Lock()
-	names := make([]string, 0, len(p.health))
-	for name := range p.health {
-		names = append(names, name)
+// view returns the current health table. The caller must not modify it.
+func (p *prober) view() healthView { return *p.health.Load() }
+
+// publish swaps in a table that differs from the current one in name's
+// entry only (h nil removes it) and wakes routing waiters. Called with mu
+// held.
+func (p *prober) publish(name string, h *NodeHealth) {
+	old := p.view()
+	next := make(healthView, len(old)+1)
+	for n, e := range old {
+		next[n] = e
 	}
-	p.mu.Unlock()
-	for _, name := range names {
+	if h == nil {
+		delete(next, name)
+	} else {
+		next[name] = h
+	}
+	p.health.Store(&next)
+	close(p.changed)
+	p.changed = make(chan struct{})
+}
+
+func (p *prober) start() {
+	for name := range p.view() {
 		p.wg.Add(1)
 		go p.run(name)
 	}
@@ -173,11 +205,9 @@ func (p *prober) run(name string) {
 	defer p.wg.Done()
 	for {
 		p.probeOnce(name)
-		p.mu.Lock()
-		h := p.health[name]
+		h := p.view()[name]
 		if h == nil {
 			// Node removed from the cluster: this loop is done.
-			p.mu.Unlock()
 			return
 		}
 		delay := p.cfg.interval()
@@ -191,10 +221,11 @@ func (p *prober) run(name string) {
 			}
 			// Jitter up to half the backoff so recovering nodes are not
 			// hammered by synchronized probes.
+			p.mu.Lock()
 			b += time.Duration(p.rng.Int63n(int64(b)/2 + 1))
+			p.mu.Unlock()
 			delay += b
 		}
-		p.mu.Unlock()
 		t := time.NewTimer(delay)
 		select {
 		case <-t.C:
@@ -207,14 +238,11 @@ func (p *prober) run(name string) {
 
 // probeOnce polls one node and folds the result into the health table.
 func (p *prober) probeOnce(name string) {
-	p.mu.Lock()
-	h, ok := p.health[name]
-	if !ok {
-		p.mu.Unlock()
+	h := p.view()[name]
+	if h == nil {
 		return
 	}
 	cfg := h.Config
-	p.mu.Unlock()
 
 	status, err := ProbeStatus(cfg.StatusAddr, p.cfg.timeout())
 	// Piggyback a metrics fetch on a healthy probe. Failure is tolerated —
@@ -227,53 +255,35 @@ func (p *prober) probeOnce(name string) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h, ok = p.health[name]
-	if !ok || h.Config != cfg {
+	h = p.view()[name]
+	if h == nil || h.Config != cfg {
 		return // node replaced mid-probe (UpdateNode); discard the stale result
 	}
+	next := *h
 	if err != nil {
-		h.Reachable = false
-		h.ConsecutiveFailures++
-		h.LastErr = err
+		next.Reachable = false
+		next.ConsecutiveFailures++
+		next.LastErr = err
 	} else {
-		h.Reachable = true
-		h.ConsecutiveFailures = 0
-		h.LastErr = nil
-		h.Status = status
-		h.LastSeen = time.Now()
+		next.Reachable = true
+		next.ConsecutiveFailures = 0
+		next.LastErr = nil
+		next.Status = status
+		next.LastSeen = time.Now()
 		if metrics != nil {
-			h.Metrics = metrics
+			next.Metrics = metrics
 		}
 	}
-	p.wake()
-}
-
-// wake broadcasts a health change to routing waiters. Called with mu held.
-func (p *prober) wake() {
-	close(p.changed)
-	p.changed = make(chan struct{})
+	p.publish(name, &next)
 }
 
 // snapshot returns a copy of one node's health.
 func (p *prober) snapshot(name string) (NodeHealth, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	h, ok := p.health[name]
-	if !ok {
+	h := p.view()[name]
+	if h == nil {
 		return NodeHealth{}, false
 	}
 	return *h, true
-}
-
-// snapshotAll returns a copy of the whole health table.
-func (p *prober) snapshotAll() map[string]NodeHealth {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]NodeHealth, len(p.health))
-	for name, h := range p.health {
-		out[name] = *h
-	}
-	return out
 }
 
 // changeCh returns the channel closed at the next health change.
@@ -289,25 +299,25 @@ func (p *prober) changeCh() <-chan struct{} {
 func (p *prober) markUnreachable(name string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h, ok := p.health[name]
-	if !ok || !h.Reachable {
+	h := p.view()[name]
+	if h == nil || !h.Reachable {
 		return
 	}
-	h.Reachable = false
-	h.LastErr = fmt.Errorf("cluster: send to %s failed: %w", name, err)
-	p.wake()
+	next := *h
+	next.Reachable = false
+	next.LastErr = fmt.Errorf("cluster: send to %s failed: %w", name, err)
+	p.publish(name, &next)
 }
 
 // addNode registers a new node and, when started is true, spawns its
 // probe loop. Registering a present name is an error.
 func (p *prober) addNode(cfg NodeConfig, started bool) error {
 	p.mu.Lock()
-	if _, ok := p.health[cfg.Name]; ok {
+	if p.view()[cfg.Name] != nil {
 		p.mu.Unlock()
 		return fmt.Errorf("cluster: node %q already probed", cfg.Name)
 	}
-	p.health[cfg.Name] = &NodeHealth{Config: cfg}
-	p.wake()
+	p.publish(cfg.Name, &NodeHealth{Config: cfg})
 	p.mu.Unlock()
 	if started {
 		p.wg.Add(1)
@@ -321,11 +331,9 @@ func (p *prober) addNode(cfg NodeConfig, started bool) error {
 func (p *prober) removeNode(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.health[name]; !ok {
-		return
+	if p.view()[name] != nil {
+		p.publish(name, nil)
 	}
-	delete(p.health, name)
-	p.wake()
 }
 
 // updateNode swaps a node's addresses (checkpoint handoff to a successor
@@ -334,16 +342,10 @@ func (p *prober) removeNode(name string) {
 func (p *prober) updateNode(cfg NodeConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h, ok := p.health[cfg.Name]
-	if !ok {
+	h := p.view()[cfg.Name]
+	if h == nil {
 		return fmt.Errorf("cluster: unknown node %q", cfg.Name)
 	}
-	h.Config = cfg
-	h.Reachable = false
-	h.Status = ingest.NodeStatus{}
-	h.ConsecutiveFailures = 0
-	h.LastErr = nil
-	h.Metrics = nil
-	p.wake()
+	p.publish(cfg.Name, &NodeHealth{Config: cfg, LastSeen: h.LastSeen})
 	return nil
 }

@@ -171,24 +171,36 @@ func (r *Ring) Owner(p uint64) (string, bool) {
 // p's owner — the failover order health-aware routing walks when the
 // owner is unavailable.
 func (r *Ring) Candidates(p uint64, max int) []string {
+	return r.AppendCandidates(nil, p, max)
+}
+
+// AppendCandidates is Candidates appending to dst, which must be empty: a
+// caller on the packet path passes a stack buffer and allocates nothing.
+// Duplicates are found by scanning dst, which holds at most one name per
+// physical node.
+func (r *Ring) AppendCandidates(dst []string, p uint64, max int) []string {
 	if len(r.points) == 0 || max <= 0 {
-		return nil
+		return dst
 	}
 	if max > len(r.nodes) {
 		max = len(r.nodes)
 	}
-	out := make([]string, 0, max)
-	seen := make(map[string]struct{}, max)
 	start := r.firstAt(p)
-	for i := 0; i < len(r.points) && len(out) < max; i++ {
-		n := r.points[(start+i)%len(r.points)].node
-		if _, ok := seen[n]; ok {
-			continue
+walk:
+	for i := 0; i < len(r.points) && len(dst) < max; i++ {
+		j := start + i
+		if j >= len(r.points) {
+			j -= len(r.points)
 		}
-		seen[n] = struct{}{}
-		out = append(out, n)
+		n := r.points[j].node
+		for _, seen := range dst {
+			if seen == n {
+				continue walk
+			}
+		}
+		dst = append(dst, n)
 	}
-	return out
+	return dst
 }
 
 // MovedArc is one contiguous hash segment whose owner differs between two

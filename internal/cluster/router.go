@@ -134,7 +134,9 @@ type RouterStats struct {
 	// Received counts frame events read from clients: every valid frame
 	// plus every quarantine event.
 	Received int
-	// Forwarded counts packets delivered to some node.
+	// Forwarded counts packets accepted for delivery to some node: each is
+	// on that node's connection or still in its replay journal, and after
+	// a clean Shutdown every one has been written.
 	Forwarded int
 	// Quarantined counts malformed-frame events survived by resync.
 	Quarantined int
@@ -323,8 +325,9 @@ func (r *Router) Start() error {
 // its ingest and status addresses move to the restarted process. The
 // upstream connection to the old instance is closed and the replay
 // journal dropped: an orchestrated handoff means the predecessor drained
-// and checkpointed everything it was sent, so replaying into the
-// successor (whose watermark restarts) would double-count.
+// and checkpointed everything it was sent (its loss edge flushed the
+// sender), so replaying into the successor (whose watermark restarts)
+// would double-count.
 func (r *Router) UpdateNode(cfg NodeConfig) error {
 	if err := r.probes.updateNode(cfg); err != nil {
 		return err
@@ -334,10 +337,10 @@ func (r *Router) UpdateNode(cfg NodeConfig) error {
 	r.member.RUnlock()
 	if s != nil {
 		s.mu.Lock()
-		s.journal = nil
+		s.journal.drain()
 		s.pendingReplay = false
 		s.mu.Unlock()
-		s.client.Close()
+		_ = s.closeConn() // what the predecessor did not take is not the successor's
 	}
 	return nil
 }
@@ -435,7 +438,7 @@ func (r *Router) watchHealth() {
 	last := make(map[string]bool)
 	for {
 		ch := r.probes.changeCh()
-		seen := r.probes.snapshotAll()
+		seen := r.probes.view()
 		for name, h := range seen {
 			avail := h.Available()
 			if last[name] && !avail {
@@ -459,8 +462,9 @@ func (r *Router) watchHealth() {
 	}
 }
 
-// onNodeLost closes the node's upstream connection and arms journal
-// replay for its return.
+// onNodeLost arms journal replay for the node's return, writes out what
+// its sender still holds and closes the upstream connection. A node that
+// is gone fails that flush; the frames are in the journal.
 func (r *Router) onNodeLost(name string) {
 	r.member.RLock()
 	s := r.senders[name]
@@ -471,7 +475,7 @@ func (r *Router) onNodeLost(name string) {
 	s.mu.Lock()
 	s.pendingReplay = true
 	s.mu.Unlock()
-	s.client.Close()
+	_ = s.closeConn()
 }
 
 // onNodeRegained replays the node's unacked journal proactively, so held
@@ -492,28 +496,31 @@ func (r *Router) onNodeRegained(name string) {
 }
 
 // route delivers one packet per the policy. Every packet entering here is
-// accounted exactly once: Forwarded on delivery, Shed otherwise. The
-// candidate list is recomputed on every pass under the membership gate —
-// a membership change between passes simply re-targets the packet on the
-// new ring — and the gate is released across requeue waits so a held
-// packet never blocks an ADD/REMOVE.
+// accounted exactly once: Forwarded when a node's sender accepts it, Shed
+// otherwise. The candidate list is recomputed on every pass under the
+// membership gate — a membership change between passes simply re-targets
+// the packet on the new ring — and the gate is released across requeue
+// waits so a held packet never blocks an ADD/REMOVE. The pass itself
+// copies nothing: candidates land in a stack buffer and health is the
+// prober's published view.
 func (r *Router) route(pkt *packet.Packet) {
 	point := PointOfTuple(pkt.Tuple)
 	var deadline <-chan time.Time
 	waited, expired := false, false
+	var buf [8]string // rings of more nodes spill to the heap
 	for {
 		r.member.RLock()
-		candidates := r.ring.Candidates(point, r.ring.Len())
+		candidates := r.ring.AppendCandidates(buf[:0], point, r.ring.Len())
 		if len(candidates) == 0 {
 			r.member.RUnlock()
 			r.countShed()
 			return
 		}
 		owner := candidates[0]
-		health := r.probes.snapshotAll()
+		health := r.probes.view()
 		target := ""
 		rerouted := false
-		if health[owner].Available() {
+		if health.available(owner) {
 			target = owner
 		} else {
 			switch r.cfg.Policy {
@@ -523,7 +530,7 @@ func (r *Router) route(pkt *packet.Packet) {
 				return
 			case PolicyNext:
 				for _, n := range candidates[1:] {
-					if health[n].Available() {
+					if health.available(n) {
 						target, rerouted = n, true
 						break
 					}
@@ -536,7 +543,7 @@ func (r *Router) route(pkt *packet.Packet) {
 		if target == "" && expired {
 			// Requeue window exhausted: any available candidate, else shed.
 			for _, n := range candidates {
-				if health[n].Available() {
+				if health.available(n) {
 					target = n
 					rerouted = n != owner
 					break
@@ -614,15 +621,8 @@ func (r *Router) countShed() {
 
 // Stats returns a snapshot of the router counters.
 func (r *Router) Stats() RouterStats {
-	health := r.probes.snapshotAll()
-	journaled := 0
-	r.member.RLock()
-	for _, s := range r.senders {
-		s.mu.Lock()
-		journaled += len(s.journal)
-		s.mu.Unlock()
-	}
-	r.member.RUnlock()
+	health := r.probes.view()
+	journaled := r.JournalDepth()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := RouterStats{
@@ -664,7 +664,7 @@ func (r *Router) Stats() RouterStats {
 // ClusterStats sums the last-known node snapshots and records any
 // per-node conservation violation.
 func (r *Router) ClusterStats() ClusterStats {
-	health := r.probes.snapshotAll()
+	health := r.probes.view()
 	var cs ClusterStats
 	cs.Nodes = len(health)
 	for _, h := range health {
@@ -694,8 +694,10 @@ func (r *Router) ClusterStats() ClusterStats {
 
 // Shutdown drains the router: stop accepting, let client connections
 // finish (force-closing them and shedding waiting packets when ctx
-// expires), close upstream clients, stop probing. Idempotent; concurrent
-// calls share the first invocation's result.
+// expires), flush and close upstream clients, stop probing. A sender that
+// cannot write out what it accepted is reported: those packets were
+// counted Forwarded and die with the journal. Idempotent; concurrent calls
+// share the first invocation's result.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	if r.shutdown {
@@ -735,8 +737,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	close(r.watchStop)
 	r.watchWG.Wait()
 	r.member.RLock()
-	for _, s := range r.senders {
-		s.client.Close()
+	for name, s := range r.senders {
+		if err := s.closeConn(); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: flush node %s: %w", name, err))
+		}
 	}
 	r.member.RUnlock()
 	r.probes.close()
@@ -782,7 +786,7 @@ const clusterLinePrefix = "CLUSTER "
 func (r *Router) StatusText() string {
 	st := r.Stats()
 	cs := r.ClusterStats()
-	health := r.probes.snapshotAll()
+	health := r.probes.view()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "cluster: state=%s nodes=%d available=%d policy=%s\n",

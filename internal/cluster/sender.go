@@ -27,9 +27,87 @@ type journalEntry struct {
 	pkt packet.Packet
 }
 
+// journal is a fixed ring of journalEntry, oldest first: append, trimming
+// the acked head and dropping the oldest entry past the cap all cost the
+// same whatever the cap. The zero value (and any cap <= 0) journals
+// nothing.
+type journal struct {
+	buf  []journalEntry // len(buf) is the cap; allocated once
+	head int            // index of the oldest entry
+	n    int
+}
+
+func newJournal(limit int) journal {
+	if limit <= 0 {
+		return journal{}
+	}
+	return journal{buf: make([]journalEntry, limit)}
+}
+
+func (j *journal) len() int { return j.n }
+
+// at returns the i-th oldest entry, 0 <= i < len.
+func (j *journal) at(i int) *journalEntry {
+	if i += j.head; i >= len(j.buf) {
+		i -= len(j.buf)
+	}
+	return &j.buf[i]
+}
+
+// advanceHead moves head to the next slot, wrapping at the cap.
+func (j *journal) advanceHead() {
+	if j.head++; j.head == len(j.buf) {
+		j.head = 0
+	}
+}
+
+// push appends e, overwriting the oldest entry when the ring is full, and
+// reports how many entries that dropped (0 or 1).
+func (j *journal) push(e journalEntry) (dropped int) {
+	if len(j.buf) == 0 {
+		return 0
+	}
+	if j.n == len(j.buf) {
+		j.buf[j.head] = e
+		j.advanceHead()
+		return 1
+	}
+	*j.at(j.n) = e
+	j.n++
+	return 0
+}
+
+// trim discards the entries at or below the acked watermark, releasing
+// their payloads.
+func (j *journal) trim(acked uint64) {
+	for j.n > 0 && j.buf[j.head].seq <= acked {
+		j.buf[j.head] = journalEntry{}
+		j.advanceHead()
+		j.n--
+	}
+}
+
+// drain empties the journal and returns what it held, oldest first.
+func (j *journal) drain() []journalEntry {
+	out := make([]journalEntry, j.n)
+	for i := range out {
+		e := j.at(i)
+		out[i], *e = *e, journalEntry{}
+	}
+	j.head, j.n = 0, 0
+	return out
+}
+
 // nodeSender serializes all deliveries to one node. Sequence assignment
-// and the send happen under one mutex, so the node observes sequences in
+// and the hand-off to the client happen under one mutex, and the client
+// writes frames in hand-off order, so the node observes sequences in
 // increasing order — which is what makes its high-watermark dedup sound.
+//
+// The client delivers asynchronously (group commit): a packet is journaled
+// when the client accepts it, and a delivery failure the client reports
+// later arms pendingReplay. So every packet counted Forwarded is either on
+// the node's socket or in the journal, to be replayed under its original
+// sequence.
 type nodeSender struct {
 	name string
 
@@ -37,22 +115,24 @@ type nodeSender struct {
 	client *ingest.Client
 	rng    *rand.Rand
 	// nextSeq is the next sequence to assign. It advances even when the
-	// send fails: a torn-but-delivered attempt must never share a
-	// sequence with a different packet.
+	// client refuses the packet, so no two packets ever share a sequence.
 	nextSeq uint64
-	// lastDelivered is the highest sequence successfully written — the
-	// watermark a migration waits for the node to reach before exporting.
-	lastDelivered uint64
-	// journal holds sent packets newer than the node's last durable ack,
-	// oldest first.
-	journal []journalEntry
+	// lastQueued is the highest sequence the client has accepted since its
+	// last reported failure; lastDelivered the highest a successful flush
+	// has confirmed written — the watermark a migration waits for the
+	// node to reach before exporting.
+	lastQueued, lastDelivered uint64
+	// journal holds accepted packets newer than the node's last durable
+	// ack.
+	journal journal
 	// failStreak counts consecutive failed sends; it drives the
 	// exponential backoff that keeps held requeues from hammering a
 	// recovering node.
 	failStreak int
-	// pendingReplay is set on the node's availability-loss edge: the next
-	// send (or the regain edge, whichever comes first) replays the
-	// journal before any new packet, keeping the sequence stream ordered.
+	// pendingReplay is set on the node's availability-loss edge and by a
+	// reported delivery failure: the next send (or the regain edge,
+	// whichever comes first) replays the journal before any new packet,
+	// keeping the sequence stream ordered.
 	pendingReplay bool
 }
 
@@ -63,6 +143,7 @@ func (r *Router) newSender(name string) *nodeSender {
 	s := &nodeSender{
 		name:    name,
 		nextSeq: 1,
+		journal: newJournal(r.journalCap()),
 		rng:     rand.New(rand.NewSource(r.cfg.Seed ^ int64(pointHash(name, 0)))),
 	}
 	s.client, _ = ingest.NewClient(ingest.ClientConfig{
@@ -93,8 +174,9 @@ func (r *Router) journalCap() int {
 	return r.cfg.JournalCap
 }
 
-// sendToNode delivers one packet on the node's sequence stream. Callers
-// hold the membership gate (shared or exclusive).
+// sendToNode hands one packet to the node's client on the node's sequence
+// stream and journals it. Callers hold the membership gate (shared or
+// exclusive).
 func (r *Router) sendToNode(s *nodeSender, pkt *packet.Packet) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -109,47 +191,58 @@ func (r *Router) sendToNode(s *nodeSender, pkt *packet.Packet) error {
 	seq := s.nextSeq
 	s.nextSeq++
 	if err := s.client.SendSeq(pkt, seq); err != nil {
-		s.failStreak++
+		s.clientFailed()
 		return err
 	}
 	s.failStreak = 0
-	s.lastDelivered = seq
-	r.journalLocked(s, journalEntry{seq: seq, pkt: *pkt})
+	s.lastQueued = seq
+	r.trimLocked(s)
+	if dropped := s.journal.push(journalEntry{seq: seq, pkt: *pkt}); dropped > 0 {
+		r.mu.Lock()
+		r.journalDropped += dropped
+		r.mu.Unlock()
+	}
 	return nil
 }
 
-// journalLocked appends one delivered packet, trimming acked entries and
-// dropping the oldest past the cap. Called with s.mu held.
-func (r *Router) journalLocked(s *nodeSender, e journalEntry) {
-	limit := r.journalCap()
-	if limit <= 0 {
-		return
+// clientFailed records a delivery failure the client reported: frames it
+// had accepted are lost, so the journal must be replayed and nothing past
+// lastDelivered can be assumed written. Called with s.mu held.
+func (s *nodeSender) clientFailed() {
+	s.failStreak++
+	s.pendingReplay = true
+	s.lastQueued = s.lastDelivered
+}
+
+// flushLocked waits until the client has written everything it accepted
+// and advances lastDelivered. Called with s.mu held.
+func (s *nodeSender) flushLocked() error {
+	if err := s.client.Flush(); err != nil {
+		s.clientFailed()
+		return err
 	}
-	r.trimLocked(s)
-	if len(s.journal) >= limit {
-		drop := len(s.journal) - limit + 1
-		s.journal = append(s.journal[:0], s.journal[drop:]...)
-		r.mu.Lock()
-		r.journalDropped += drop
-		r.mu.Unlock()
+	s.lastDelivered = s.lastQueued
+	return nil
+}
+
+// closeConn flushes the client and closes its connection to the node. It
+// must not be called with s.mu held: the flush can take the client's
+// whole retry budget.
+func (s *nodeSender) closeConn() error {
+	err := s.client.Close()
+	if err != nil {
+		s.mu.Lock()
+		s.clientFailed()
+		s.mu.Unlock()
 	}
-	s.journal = append(s.journal, e)
+	return err
 }
 
 // trimLocked discards journal entries at or below the node's last
 // observed durable ack watermark. Called with s.mu held.
 func (r *Router) trimLocked(s *nodeSender) {
-	h, ok := r.probes.snapshot(s.name)
-	if !ok || h.LastSeen.IsZero() {
-		return
-	}
-	acked := h.Status.AckedSeq
-	i := 0
-	for i < len(s.journal) && s.journal[i].seq <= acked {
-		i++
-	}
-	if i > 0 {
-		s.journal = append(s.journal[:0], s.journal[i:]...)
+	if h := r.probes.view()[s.name]; h != nil && !h.LastSeen.IsZero() {
+		s.journal.trim(h.Status.AckedSeq)
 	}
 }
 
@@ -160,15 +253,23 @@ func (r *Router) trimLocked(s *nodeSender) {
 // Called with s.mu held.
 func (r *Router) replayLocked(s *nodeSender) error {
 	r.trimLocked(s)
-	for i := range s.journal {
-		e := &s.journal[i]
-		if err := s.client.SendSeq(&e.pkt, e.seq); err != nil {
-			s.failStreak++
-			return err
+	var err error
+	sent := 0
+	for ; sent < s.journal.len(); sent++ {
+		e := s.journal.at(sent)
+		if err = s.client.SendSeq(&e.pkt, e.seq); err != nil {
+			break
 		}
-		r.mu.Lock()
-		r.replayed++
-		r.mu.Unlock()
+		if e.seq > s.lastQueued {
+			s.lastQueued = e.seq
+		}
+	}
+	r.mu.Lock()
+	r.replayed += sent
+	r.mu.Unlock()
+	if err != nil {
+		s.clientFailed()
+		return err
 	}
 	s.pendingReplay = false
 	s.failStreak = 0
@@ -213,10 +314,10 @@ func (r *Router) replayAcross(entries []journalEntry) {
 		pkt := &entries[i].pkt
 		point := PointOfTuple(pkt.Tuple)
 		candidates := r.ring.Candidates(point, r.ring.Len())
-		health := r.probes.snapshotAll()
+		health := r.probes.view()
 		delivered := false
 		for _, n := range candidates {
-			if !health[n].Available() {
+			if !health.available(n) {
 				continue
 			}
 			s := r.senders[n]

@@ -9,7 +9,7 @@ import (
 )
 
 // ErrChaosReset is returned by a chaos connection's Write after it
-// deliberately tears a frame and closes the connection.
+// deliberately tears a frame and half-closes the connection.
 var ErrChaosReset = errors.New("ingest: chaos: connection reset mid-frame")
 
 // ConnChaosConfig tunes deterministic transport-fault injection. The
@@ -29,8 +29,9 @@ type ConnChaosConfig struct {
 	Stall time.Duration
 	// ResetEvery tears the connection after roughly this many bytes
 	// written (0 disables): the current Write delivers only a prefix of
-	// its buffer — a torn frame — and the connection closes gracefully,
-	// so the delivered prefix still reaches the peer before EOF.
+	// its buffer — a torn frame — and the connection's write side closes
+	// gracefully, so the delivered prefix still reaches the peer before
+	// EOF.
 	ResetEvery int
 	// MaxResets bounds the total resets injected (0 = unlimited).
 	MaxResets int
@@ -130,9 +131,18 @@ func (cc *ConnChaos) countBytes(n int) {
 	cc.mu.Unlock()
 }
 
+// CloseWrite half-closes the wrapped connection when it can (TCP and unix
+// sockets), and closes it outright otherwise.
+func (c *chaosConn) CloseWrite() error {
+	if hc, ok := c.Conn.(interface{ CloseWrite() error }); ok {
+		return hc.CloseWrite()
+	}
+	return c.Conn.Close()
+}
+
 // Write delivers p subject to the fault plan: possibly after a stall,
 // possibly in chunks, and possibly torn — a strict prefix is delivered,
-// the connection is closed gracefully (so the prefix is not discarded in
+// the write side is closed gracefully (so the prefix is not discarded in
 // flight), and ErrChaosReset is returned with the short count.
 func (c *chaosConn) Write(p []byte) (int, error) {
 	pl := c.cc.planWrite(len(p))
@@ -142,6 +152,11 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 	deliver := p
 	torn := false
 	if pl.cut > 0 && pl.cut < len(p) {
+		// A Write may carry several frames. Step off a cut that falls
+		// exactly between two of them, so the peer still sees a torn frame.
+		if pl.cut+1 < len(p) && p[pl.cut] == frameMagic0 && p[pl.cut+1] == frameMagic1 {
+			pl.cut++
+		}
 		deliver = p[:pl.cut]
 		torn = true
 	}
@@ -167,9 +182,10 @@ func (c *chaosConn) Write(p []byte) (int, error) {
 		return written, err
 	}
 	if torn {
-		// Graceful close: FIN after the prefix is queued, so the peer
-		// reads the torn frame and then EOF — a quarantine, not a loss.
-		c.Conn.Close()
+		// Half-close: FIN after the prefix is queued, so the peer reads
+		// the torn frame and then EOF — a quarantine, not a loss — and the
+		// writer can still wait for the peer to finish with the connection.
+		_ = c.CloseWrite()
 		return written, ErrChaosReset
 	}
 	return written, nil

@@ -91,9 +91,10 @@ func TestClientResendAcrossServerRestart(t *testing.T) {
 	trace := testTrace(t, 60, 17)
 
 	// Schedule exactly one chaos tear roughly halfway through the byte
-	// stream. The cut is strictly mid-frame (planWrite guarantees it), so
-	// the first instance always sees a torn prefix — one quarantine — and
-	// the client always gets a synchronous write error — one resend.
+	// stream. The cut is strictly mid-frame (chaosConn.Write guarantees
+	// it), so the first instance always sees a torn prefix — one
+	// quarantine — and the client's writer always gets a write error —
+	// one resend.
 	totalBytes := 0
 	var buf []byte
 	for i := range trace.Packets {
@@ -173,6 +174,19 @@ func TestClientResendAcrossServerRestart(t *testing.T) {
 		if err := client.Send(&trace.Packets[i]); err != nil {
 			t.Fatalf("Send(%d): %v", i, err)
 		}
+		if i == len(trace.Packets)/8 {
+			// The client coalesces: without this the whole trace could ride
+			// one Write and the tear fall in its first frame, leaving the
+			// first instance nothing to admit.
+			if err := client.Flush(); err != nil {
+				t.Fatalf("Flush(%d): %v", i, err)
+			}
+		}
+	}
+	// The writer goroutine ran Dial; Flush orders its writes to s2 before
+	// the reads below.
+	if err := client.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	if s2 == nil {
 		t.Fatal("chaos never tore the stream: the restart path was not exercised")

@@ -40,10 +40,13 @@ func TestChaosConnSoak(t *testing.T) {
 		}
 		totalBytes += len(buf)
 	}
+	// The client coalesces frames into writes of up to 64 KiB, so the
+	// replay is a dozen-odd Write calls, not one per frame: the per-write
+	// faults are scheduled densely enough to land on that few.
 	chaos := NewConnChaos(ConnChaosConfig{
 		Seed:       7,
-		ChunkRate:  0.25,
-		StallEvery: 200,
+		ChunkRate:  0.5,
+		StallEvery: 3,
 		Stall:      time.Millisecond,
 		ResetEvery: totalBytes / 8,
 		MaxResets:  6,
@@ -82,6 +85,9 @@ func TestChaosConnSoak(t *testing.T) {
 		if err := client.Send(&trace.Packets[i]); err != nil {
 			t.Fatalf("Send(%d): %v", i, err)
 		}
+	}
+	if err := client.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 
 	// Every packet must land despite the tears: wait for the last frames
