@@ -28,7 +28,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) bench-test
-	$(GO) test -run 'TestVectorAllocRegression|TestZerosWithinBudget|TestClassifyAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression|TestRouteAllocRegression' -count=1 ./internal/entropy ./internal/core ./internal/entest ./internal/flow ./internal/cluster
+	$(GO) test -run 'TestVectorAllocRegression|TestZerosWithinBudget|TestClassifyAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression|TestRouteAllocRegression|TestIngestAllocRegression' -count=1 ./internal/entropy ./internal/core ./internal/entest ./internal/flow ./internal/cluster ./internal/ingest
 	$(GO) test -run 'TestChaosConnSoak' -count=1 ./internal/ingest
 	$(GO) test -race -run 'TestClientReconnectFence' -count=20 ./internal/ingest
 	$(GO) test -run '^$$' -bench 'BenchmarkSendToNodeFullJournal' -benchtime=200x ./internal/cluster
@@ -37,7 +37,8 @@ check:
 	$(GO) test -fuzz=FuzzStrip -fuzztime=5s ./internal/appheader
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=5s ./internal/packet
 	$(GO) test -fuzz=FuzzRead -fuzztime=5s ./internal/pcap
-	$(GO) test -fuzz=FuzzFrame -fuzztime=5s ./internal/ingest
+	$(GO) test -fuzz='^FuzzFrame$$' -fuzztime=5s ./internal/ingest
+	$(GO) test -fuzz=FuzzFrameAliasVsCopy -fuzztime=5s ./internal/ingest
 	$(GO) test -fuzz=FuzzDifferentialPackedVsLegacy -fuzztime=5s ./internal/entropy
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/persist
 	$(GO) test -fuzz=FuzzImportCheckpoint -fuzztime=5s ./internal/persist
@@ -98,7 +99,8 @@ examples:
 	$(GO) run ./examples/forensics
 	$(GO) run ./examples/streaming
 
-# Short fuzzing passes over the byte-level parsers, the entropy
+# Short fuzzing passes over the byte-level parsers, the frame differential
+# (the server's aliasing decode vs the copying FrameReader), the entropy
 # differential (refinement vs string-keyed oracle) and every snapshot
 # decoder (frame, tree, SVM, classifier, CDB, checkpoint). Every target
 # `check` smokes for 5 s is here for 30 s, under the same name.
@@ -106,7 +108,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzStrip -fuzztime=30s ./internal/appheader
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=30s ./internal/packet
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/pcap
-	$(GO) test -fuzz=FuzzFrame -fuzztime=30s ./internal/ingest
+	$(GO) test -fuzz='^FuzzFrame$$' -fuzztime=30s ./internal/ingest
+	$(GO) test -fuzz=FuzzFrameAliasVsCopy -fuzztime=30s ./internal/ingest
 	$(GO) test -fuzz=FuzzDifferentialPackedVsLegacy -fuzztime=30s ./internal/entropy
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecodeTree -fuzztime=30s ./internal/persist

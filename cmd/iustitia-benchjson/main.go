@@ -207,10 +207,10 @@ func (env *benchEnv) replay(shards int, stream *flow.StreamConfig) (time.Duratio
 		return 0, err
 	}
 	pkts := env.trace.Packets
-	batch := make([]*packet.Packet, 0, engineBatchSize)
+	batch := make([]flow.Routed, 0, engineBatchSize)
 	start := time.Now()
 	for i := range pkts {
-		batch = append(batch, &pkts[i])
+		batch = append(batch, flow.Routed{ID: flow.IDOf(pkts[i].Tuple), Pkt: pkts[i]})
 		if len(batch) < engineBatchSize && i+1 < len(pkts) {
 			continue
 		}

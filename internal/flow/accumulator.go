@@ -121,13 +121,34 @@ func (a *accumulator) classify() (corpus.Class, error) {
 	return a.spec.vclf.ClassifyVector(vec)
 }
 
-// sample returns a full payload buffer for the shadow-sample ring, or nil:
-// a partial buffer is not representative and a sketch retains no bytes.
-func (a *accumulator) sample() []byte {
+// giveSample hands the flow's full payload buffer to the shadow-sample ring
+// in exchange for spare, a buffer the ring is done with (or nil). It
+// reports false, and trades nothing, when the flow has no sample to give: a
+// partial buffer is not representative and a sketch retains no bytes.
+func (a *accumulator) giveSample(spare []byte) ([]byte, bool) {
 	if a.sv != nil || len(a.buf) < a.spec.b {
-		return nil
+		return nil, false
 	}
-	return a.buf
+	buf := a.buf
+	a.buf = spare[:0]
+	return buf, true
+}
+
+// reset empties a retired flow's accumulator, keeping the buffer's
+// capacity for the record's next flow. A sketch is let go: it has no reset.
+func (a *accumulator) reset() {
+	a.buf, a.sv = a.buf[:0], nil
+}
+
+// retained is the buffer capacity a reset accumulator still holds.
+func (a *accumulator) retained() int { return cap(a.buf) }
+
+// adopt takes over a reset accumulator's spare buffer capacity, unless the
+// receiver was restored with a buffer of its own.
+func (a *accumulator) adopt(old *accumulator) {
+	if a.buf == nil {
+		a.buf = old.buf[:0]
+	}
 }
 
 // snapshot returns the wire-portable state: at most one of buf and sketch

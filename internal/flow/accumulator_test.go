@@ -50,8 +50,8 @@ func TestAccumulatorContract(t *testing.T) {
 	for name, spec := range accSpecs(t) {
 		t.Run(name, func(t *testing.T) {
 			a := accumulator{spec: spec}
-			if a.hasData() || a.ready() || a.sample() != nil {
-				t.Fatalf("fresh accumulator: hasData %v ready %v sample %v", a.hasData(), a.ready(), a.sample())
+			if _, ok := a.giveSample(nil); a.hasData() || a.ready() || ok {
+				t.Fatalf("fresh accumulator: hasData %v ready %v gave a sample %v", a.hasData(), a.ready(), ok)
 			}
 			a.write(nil)
 			if a.hasData() {
@@ -70,8 +70,11 @@ func TestAccumulatorContract(t *testing.T) {
 				t.Fatalf("after overfill: ready %v consumed %d, want ready at exactly %d", a.ready(), a.consumed(), accTestB)
 			}
 			want := mustClassify(t, &a)
-			if s := a.sample(); (name == "buffered") != (len(s) == accTestB) {
-				t.Errorf("sample() = %d bytes, want the full buffer from buffered and nil from sketched", len(s))
+			spare := make([]byte, 3, 2*accTestB)
+			if s, ok := a.giveSample(spare); ok != (name == "buffered") || ok != (len(s) == accTestB) {
+				t.Errorf("giveSample() = %d bytes, %v; want the full buffer from buffered and nothing from sketched", len(s), ok)
+			} else if ok && (a.hasData() || a.retained() != cap(spare)) {
+				t.Errorf("after giveSample: hasData %v retained %d, want the emptied spare (cap %d)", a.hasData(), a.retained(), cap(spare))
 			}
 
 			// snapshot → restore mid-flow round-trips to the same verdict,

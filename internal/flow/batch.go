@@ -6,14 +6,12 @@ import (
 	"iustitia/internal/packet"
 )
 
-// This file is the batched front end of ParallelEngine: ProcessBatch
-// partitions a packet batch across shards in one pass and runs each
-// shard's slice inline.
+// This file is the batched front end of ParallelEngine.
 //
-// Ordering: all packets of one flow hash to one shard and a batch's
-// per-shard slice preserves submission order, so per-flow processing order
-// is exactly submission order, as long as one flow's packets are submitted
-// by one goroutine (the same contract Process has always had; the ingest
+// Ordering: ProcessBatch walks the batch in submission order and all
+// packets of one flow hash to one shard, so per-flow processing order is
+// exactly submission order, as long as one flow's packets are submitted by
+// one goroutine (the same contract Process has always had; the ingest
 // server routes flows to workers by flow ID for precisely this reason).
 //
 // Conservation: every packet of a batch reaches Engine.ProcessID exactly
@@ -21,72 +19,35 @@ import (
 // and the transport law Received == Admitted + Quarantined + Shed keep
 // holding.
 
-// batchEntry is one routed packet: the flow ID is computed once during
-// partitioning and reused by the shard. The packet is held by value so the
-// caller may recycle its own packet structs as soon as ProcessBatch
-// returns.
-type batchEntry struct {
-	id  ID
-	pkt packet.Packet
+// Routed is one packet with its flow ID already computed — the unit the
+// ingest server hands the engine, so the tuple is hashed once per packet
+// per process. ID must be IDOf(Pkt.Tuple).
+type Routed struct {
+	ID  ID
+	Pkt packet.Packet
 }
 
-// batchScratch is the pooled partition buffer of one in-flight batch: one
-// append slice per shard.
-type batchScratch struct {
-	perShard [][]batchEntry
-}
-
-// getScratch returns a partition buffer shaped for this engine's shard
-// count.
-func (pe *ParallelEngine) getScratch() *batchScratch {
-	sc, _ := pe.scratch.Get().(*batchScratch)
-	if sc == nil || len(sc.perShard) != len(pe.shards) {
-		sc = &batchScratch{perShard: make([][]batchEntry, len(pe.shards))}
-	}
-	return sc
-}
-
-// putScratch empties the partition buffer and returns it to the pool.
-func (pe *ParallelEngine) putScratch(sc *batchScratch) {
-	for i := range sc.perShard {
-		sc.perShard[i] = sc.perShard[i][:0]
-	}
-	pe.scratch.Put(sc)
-}
-
-// ProcessBatch routes every packet of batch to its flow's shard in a
-// single partition pass (one SHA-1 per packet, total), processes each
-// shard's slice inline, and returns the count of failed packets with
-// their errors joined.
+// ProcessBatch runs every packet of batch, in order, on its flow's shard
+// and returns the count of failed packets with their errors joined. There
+// is no partition step: a caller that routes flows to goroutines by
+// ID mod n (ingest's workers) already confines each goroutine to the
+// shards of its own residue classes whenever n divides the shard count.
 //
 // Packets of one flow must be submitted from one goroutine for per-flow
-// order to be defined, exactly as with Process. The packet structs and
-// their payload bytes may be reused once ProcessBatch returns.
-func (pe *ParallelEngine) ProcessBatch(batch []*packet.Packet) (int, error) {
-	if len(batch) == 0 {
-		return 0, nil
-	}
-	sc := pe.getScratch()
-	defer pe.putScratch(sc)
-	for _, p := range batch {
-		if p == nil {
-			return len(batch), errors.New("flow: nil packet in batch")
-		}
-		id := IDOf(p.Tuple)
-		s := pe.shardIndex(id)
-		sc.perShard[s] = append(sc.perShard[s], batchEntry{id: id, pkt: *p})
-	}
+// order to be defined, exactly as with Process. The engine retains nothing
+// of batch past the call — payload bytes it keeps are copied into the
+// flow's own buffer — so Pkt.Payload may alias memory the caller reuses as
+// soon as ProcessBatch returns.
+func (pe *ParallelEngine) ProcessBatch(batch []Routed) (int, error) {
 	var (
 		failed int
 		errs   []error
 	)
-	for s, entries := range sc.perShard {
-		shard := pe.shards[s]
-		for i := range entries {
-			if _, err := shard.ProcessID(entries[i].id, &entries[i].pkt); err != nil {
-				failed++
-				errs = append(errs, err)
-			}
+	for i := range batch {
+		r := &batch[i]
+		if _, err := pe.shardFor(r.ID).ProcessID(r.ID, &r.Pkt); err != nil {
+			failed++
+			errs = append(errs, err)
 		}
 	}
 	return failed, errors.Join(errs...)

@@ -81,12 +81,16 @@ func assertBatchMatches(t *testing.T, trace *packet.Trace, got, want *ParallelEn
 	}
 }
 
+// routedOf is what ingest's reader builds per frame: the packet and its
+// flow ID, hashed once.
+func routedOf(p *packet.Packet) Routed { return Routed{ID: IDOf(p.Tuple), Pkt: *p} }
+
 // replayBatches drives trace through ProcessBatch in fixed-size chunks and
 // flushes.
 func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk int) {
 	t.Helper()
 	var maxSeen time.Duration
-	batch := make([]*packet.Packet, 0, chunk)
+	batch := make([]Routed, 0, chunk)
 	flush := func() {
 		if len(batch) == 0 {
 			return
@@ -100,7 +104,7 @@ func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk 
 		if trace.Packets[i].Time > maxSeen {
 			maxSeen = trace.Packets[i].Time
 		}
-		batch = append(batch, &trace.Packets[i])
+		batch = append(batch, routedOf(&trace.Packets[i]))
 		if len(batch) == chunk {
 			flush()
 		}
@@ -122,23 +126,15 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProcessBatchNilPacket pins the error contract: a nil packet fails
-// the whole batch before any packet is processed.
-func TestProcessBatchNilPacket(t *testing.T) {
+// TestProcessBatchEmpty pins the trivial end of the contract. (A batch is
+// a slice of values now, so the old nil-packet case cannot be written.)
+func TestProcessBatchEmpty(t *testing.T) {
 	pe := newBatchEngine(t, 2)
-	tp := tuple(4000, packet.TCP)
-	failed, err := pe.ProcessBatch([]*packet.Packet{dataPacket(tp, 0, "TT"), nil})
-	if err == nil {
-		t.Fatal("nil packet in batch: want error")
-	}
-	if failed != 2 {
-		t.Errorf("failed = %d, want the whole batch (2)", failed)
-	}
-	if got := pe.Stats().Admitted; got != 0 {
-		t.Errorf("nil-packet batch admitted %d flows, want 0", got)
-	}
 	if failed, err := pe.ProcessBatch(nil); failed != 0 || err != nil {
 		t.Errorf("empty batch: failed=%d err=%v, want 0, nil", failed, err)
+	}
+	if got := pe.Stats().Admitted; got != 0 {
+		t.Errorf("empty batch admitted %d flows, want 0", got)
 	}
 }
 
@@ -154,9 +150,9 @@ func TestProcessBatchSurfacesClassifyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []*packet.Packet{
-		dataPacket(tuple(5000, packet.TCP), 0, "XXXX"),
-		dataPacket(tuple(5001, packet.TCP), 0, "YYYY"),
+	batch := []Routed{
+		routedOf(dataPacket(tuple(5000, packet.TCP), 0, "XXXX")),
+		routedOf(dataPacket(tuple(5001, packet.TCP), 0, "YYYY")),
 	}
 	failed, err := pe.ProcessBatch(batch)
 	if err == nil || failed != 2 {
@@ -165,8 +161,7 @@ func TestProcessBatchSurfacesClassifyErrors(t *testing.T) {
 }
 
 // TestBatchAllocRegression is the alloc budget gate for the batch path:
-// once flows are CDB-resident and the partition scratch is warm, routing a
-// batch must not allocate per packet.
+// once flows are CDB-resident, routing a batch allocates nothing.
 func TestBatchAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
@@ -178,28 +173,24 @@ func TestBatchAllocRegression(t *testing.T) {
 	for i := range payload {
 		payload[i] = 'A'
 	}
-	batch := make([]*packet.Packet, flows)
+	batch := make([]Routed, flows)
 	for i := 0; i < flows; i++ {
-		batch[i] = &packet.Packet{
+		batch[i] = routedOf(&packet.Packet{
 			Tuple:   tuple(uint16(6000+i), packet.UDP),
 			Time:    time.Duration(i) * time.Millisecond,
 			Payload: payload,
-		}
+		})
 	}
-	// Warm: classify every flow and let the scratch pool settle.
-	for i := 0; i < 4; i++ {
-		if failed, err := pe.ProcessBatch(batch); err != nil || failed != 0 {
-			t.Fatalf("warm ProcessBatch: failed=%d err=%v", failed, err)
-		}
+	// Warm: classify every flow.
+	if failed, err := pe.ProcessBatch(batch); err != nil || failed != 0 {
+		t.Fatalf("warm ProcessBatch: failed=%d err=%v", failed, err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		if _, err := pe.ProcessBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// CDB hits allocate nothing; allow a little headroom for pool churn
-	// under GC pressure.
-	if allocs > 2 {
-		t.Errorf("ProcessBatch allocs/op = %v for %d CDB-hit packets, want <= 2", allocs, flows)
+	if allocs != 0 {
+		t.Errorf("ProcessBatch allocs/op = %v for %d CDB-hit packets, want 0", allocs, flows)
 	}
 }

@@ -189,10 +189,16 @@ func (c *CDB) Insert(id ID, label corpus.Class, now time.Duration) {
 		c.reinsertions.Add(1)
 	} else {
 		// The first-insertion memory is accounting state, not routing
-		// state; under a MaxRecords cap it must stay bounded too, so it
-		// resets once it far exceeds the live table (reinsertions of
-		// flows older than the reset are then undercounted).
-		if c.cfg.MaxRecords > 0 && len(c.reinsertedFlows) >= 8*c.cfg.MaxRecords {
+		// state, and must stay bounded on a node that runs for ever: it
+		// resets once it far exceeds the live table — eight times the
+		// records held (or one purge window, whichever is more), or eight
+		// times the MaxRecords cap. Reinsertions of flows older than the
+		// reset are then undercounted.
+		bound := 8 * max(len(c.records), c.cfg.PurgeEvery)
+		if c.cfg.MaxRecords > 0 {
+			bound = min(bound, 8*c.cfg.MaxRecords)
+		}
+		if len(c.reinsertedFlows) >= bound {
 			c.reinsertedFlows = make(map[ID]struct{})
 		}
 		c.reinsertedFlows[id] = struct{}{}

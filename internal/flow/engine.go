@@ -2,7 +2,6 @@ package flow
 
 import (
 	"bytes"
-	"container/list"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +16,8 @@ import (
 
 // Classifier labels a buffered payload prefix with its content nature.
 // Implementations are the entropy-vector + CART/SVM classifiers from
-// internal/core; tests may plug anything.
+// internal/core; tests may plug anything. The payload is only valid during
+// the call: the engine reuses the buffer for a later flow.
 type Classifier interface {
 	Classify(payload []byte) (corpus.Class, error)
 }
@@ -166,9 +166,11 @@ type flowProgress struct {
 type pending struct {
 	acc accumulator
 	flowProgress
-	// elem is this flow's slot in the table's recency list, used for
-	// O(1) eviction of the least-recently-active flow at MaxPending.
-	elem *list.Element
+	// id, prev and next thread the flow into the table's recency list, used
+	// for O(1) eviction of the least-recently-active flow at MaxPending; a
+	// retired record on the table's free list is linked through next alone.
+	id         ID
+	prev, next *pending
 }
 
 // maxHeaderSpan caps how many bytes a multi-packet application header may
@@ -225,7 +227,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		table: flowTable{
 			pend:       make(map[ID]*pending),
-			lru:        list.New(),
 			cdb:        NewCDB(cfg.CDB),
 			maxPending: cfg.MaxPending,
 			eviction:   cfg.Eviction,
@@ -253,10 +254,10 @@ func (e *Engine) Process(p *packet.Packet) (Verdict, error) {
 	return e.ProcessID(IDOf(p.Tuple), p)
 }
 
-// ProcessID is Process with the flow ID already computed. The batch path
-// hashes each tuple exactly once while partitioning a batch across shards,
-// then hands the id through here instead of re-running SHA-1 per packet.
-// id must be IDOf(p.Tuple).
+// ProcessID is Process with the flow ID already computed: the ingest
+// reader hashes each tuple once to pick a worker, and the batch path hands
+// that id through here instead of re-running SHA-1 per packet. id must be
+// IDOf(p.Tuple). Nothing of p is retained past the call.
 func (e *Engine) ProcessID(id ID, p *packet.Packet) (Verdict, error) {
 	if p == nil {
 		return Verdict{}, errors.New("flow: nil packet")
@@ -302,10 +303,10 @@ func (e *Engine) processData(id ID, p *packet.Packet) (Verdict, error) {
 			}
 			e.evictOneLocked(p.Time)
 		}
-		fl = &pending{acc: accumulator{spec: e.acc}, flowProgress: flowProgress{firstSeen: p.Time, skipLeft: -1}}
+		fl = e.table.newPending(accumulator{spec: e.acc}, flowProgress{firstSeen: p.Time, skipLeft: -1})
 		e.admitLocked(id, fl)
 	} else {
-		e.table.lru.MoveToBack(fl.elem)
+		e.table.touch(fl)
 	}
 	fl.lastSeen = p.Time
 	fl.packets++
@@ -398,6 +399,7 @@ func (fl *flowProgress) continueHeader(payload []byte) []byte {
 // re-classified on each subsequent packet. Caller holds e.mu.
 func (e *Engine) classifyLocked(id ID, fl *pending, now time.Duration) (Verdict, error) {
 	e.retireLocked(id, fl)
+	defer e.table.recycle(fl)
 	start := time.Now()
 	label, fellBack, err := e.decider.decide(&fl.acc, &e.sink.ec)
 	e.sink.latency.Observe(latencyBinValue(time.Since(start)))

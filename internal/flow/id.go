@@ -7,6 +7,7 @@ package flow
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 
 	"iustitia/internal/packet"
 )
@@ -19,6 +20,16 @@ type ID [sha1.Size]byte
 func IDOf(t packet.FiveTuple) ID {
 	wire := t.Marshal()
 	return sha1.Sum(wire[:])
+}
+
+// Residue reduces the flow ID modulo n, the one rule by which flows are
+// dealt to ParallelEngine shards and to ingest workers alike — so a worker
+// only meets the shards of its own residue classes whenever the worker
+// count divides the shard count. It reduces a full 64-bit word of the
+// hash: a two-byte reduction (the old scheme) leaves only 65536 distinct
+// values, which mod a non-power-of-two n skews the residue classes.
+func (id ID) Residue(n int) int {
+	return int(binary.BigEndian.Uint64(id[:8]) % uint64(n))
 }
 
 // RecordBits is the CDB record size the paper accounts: 160 bits of SHA-1

@@ -145,6 +145,7 @@ func (e *Engine) takeFlows(pred func(ID) bool) flowExport {
 		}
 		fx.pendings = append(fx.pendings, exportPending(id, fl))
 		e.retireLocked(id, fl)
+		e.table.recycle(fl)
 		e.sink.ec.admitted.Add(-1)
 		e.sink.ec.migratedOut.Add(1)
 	}
@@ -198,7 +199,7 @@ func (e *Engine) installFlows(fx flowExport, migration bool) int {
 		if e.table.full() {
 			e.evictOneLocked(p.lastSeen)
 		}
-		fl := &pending{acc: e.acc.restore(p.buf, p.sketch), flowProgress: p.flowProgress}
+		fl := e.table.newPending(e.acc.restore(p.buf, p.sketch), p.flowProgress)
 		e.admitLocked(p.id, fl)
 		if migration {
 			e.sink.ec.migratedIn.Add(1)

@@ -1,10 +1,8 @@
 package flow
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"iustitia/internal/corpus"
@@ -20,9 +18,6 @@ import (
 // purging behaves exactly like a single engine's.
 type ParallelEngine struct {
 	shards []*Engine
-
-	// scratch pools ProcessBatch's partition buffers (see batch.go).
-	scratch sync.Pool
 }
 
 // NewParallelEngine builds shards engines from cfg. When classifiers is
@@ -56,18 +51,13 @@ func NewParallelEngine(cfg EngineConfig, shards int, classifiers []Classifier) (
 // Shards returns the shard count.
 func (pe *ParallelEngine) Shards() int { return len(pe.shards) }
 
-// shardFor maps a flow ID to its shard. It reduces a full 64-bit word of
-// the SHA-1 flow ID: a two-byte reduction (the old scheme) leaves only
-// 65536 distinct values, which mod a non-power-of-two shard count skews
-// the residue classes and unbalances shard load.
+// shardFor maps a flow ID to its shard (see ID.Residue).
 func (pe *ParallelEngine) shardFor(id ID) *Engine {
 	return pe.shards[pe.shardIndex(id)]
 }
 
 // shardIndex is shardFor returning the index, for migration dispatch.
-func (pe *ParallelEngine) shardIndex(id ID) int {
-	return int(binary.BigEndian.Uint64(id[:8]) % uint64(len(pe.shards)))
-}
+func (pe *ParallelEngine) shardIndex(id ID) int { return id.Residue(len(pe.shards)) }
 
 // Process routes a packet to its flow's shard. Safe for concurrent use;
 // callers typically run one goroutine per NIC queue.

@@ -119,15 +119,16 @@ func (s *sink) classified(fl *pending, now time.Duration) {
 	if s.labelCap >= 0 {
 		s.fills = append(s.fills, FillStats{Packets: fl.packets, Delay: now - fl.firstSeen})
 	}
-	// The buffer is owned by the retired flow and nothing mutates it after
-	// classification, so the ring keeps it without a copy.
-	if buf := fl.acc.sample(); buf != nil {
-		if len(s.samples) < sampleRingSize {
+	// The retired flow's record is about to be recycled with its buffer,
+	// so the ring does not keep a pointer into it: it takes the buffer and
+	// gives the record the one the sample displaces.
+	if len(s.samples) < sampleRingSize {
+		if buf, ok := fl.acc.giveSample(nil); ok {
 			s.samples = append(s.samples, buf)
-		} else {
-			s.samples[s.sampleNext] = buf
-			s.sampleNext = (s.sampleNext + 1) % sampleRingSize
 		}
+	} else if buf, ok := fl.acc.giveSample(s.samples[s.sampleNext]); ok {
+		s.samples[s.sampleNext] = buf
+		s.sampleNext = (s.sampleNext + 1) % sampleRingSize
 	}
 }
 
@@ -210,13 +211,21 @@ func (e *Engine) FillStats() []FillStats {
 	return append([]FillStats(nil), e.sink.fills...)
 }
 
-// SampleBuffers returns the engine's ring of recently classified payload
-// buffers (order is unspecified). Buffered mode only — a stream engine
-// never retains payload and returns nil.
+// SampleBuffers returns copies of the engine's ring of recently classified
+// payload buffers (order is unspecified): the ring's own buffers go back
+// into circulation as flows retire, so they never leave e.mu. Buffered mode
+// only — a stream engine never retains payload and returns nil.
 func (e *Engine) SampleBuffers() [][]byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([][]byte(nil), e.sink.samples...)
+	if len(e.sink.samples) == 0 {
+		return nil
+	}
+	out := make([][]byte, len(e.sink.samples))
+	for i, buf := range e.sink.samples {
+		out[i] = append([]byte(nil), buf...)
+	}
+	return out
 }
 
 // LatencyHistogram returns a snapshot of the engine's classification

@@ -1,9 +1,9 @@
 package flow
 
 import (
-	"container/list"
 	"fmt"
 	"time"
+	"unsafe"
 )
 
 // This file is the engine's flow table and the policies that keep
@@ -57,49 +57,127 @@ func ParseEvictPolicy(s string) (EvictPolicy, error) {
 	}
 }
 
-// flowTable is every flow the engine knows: pending flows by ID with a
-// recency list (least recently active first), and the CDB for flows
-// already labelled. maxPending, eviction and idleFlush start from
+// flowTable is every flow the engine knows: pending flows by ID, threaded
+// into a recency list (oldest = least recently active), and the CDB for
+// flows already labelled. maxPending, eviction and idleFlush start from
 // EngineConfig and are retuned live by the Set* methods.
 type flowTable struct {
-	pend map[ID]*pending
-	lru  *list.List
-	cdb  *CDB
+	pend           map[ID]*pending
+	oldest, newest *pending
+	cdb            *CDB
+
+	// free is a stack of retired records, each keeping its payload
+	// buffer's capacity, so a steady flow churn allocates nothing.
+	// freeBytes is what the stack pins (records plus buffer capacity) and
+	// never exceeds maxFreeBytes: a burst of retirements is mostly left to
+	// the collector, and a record whose buffer alone is over the bound
+	// (a very large b) is never kept.
+	free      *pending
+	freeBytes int
 
 	maxPending int
 	eviction   EvictPolicy
 	idleFlush  time.Duration
 }
 
+// maxFreeBytes bounds the memory one shard's free list may pin.
+const maxFreeBytes = 256 << 10
+
 // full reports whether admitting one more flow would exceed MaxPending.
 func (t *flowTable) full() bool {
 	return t.maxPending > 0 && len(t.pend) >= t.maxPending
 }
 
+// newPending returns a record for a flow about to be admitted, reusing a
+// retired one (and its buffer's capacity, when acc brings no buffer of its
+// own) if the free list has any.
+func (t *flowTable) newPending(acc accumulator, progress flowProgress) *pending {
+	fl := t.free
+	if fl == nil {
+		return &pending{acc: acc, flowProgress: progress}
+	}
+	t.free, fl.next = fl.next, nil
+	t.freeBytes -= fl.pinned()
+	acc.adopt(&fl.acc)
+	fl.acc, fl.flowProgress = acc, progress
+	return fl
+}
+
+// recycle puts a retired record on the free list, or leaves it to the
+// collector when the list is at its bound. The caller must be done with
+// the record: its next admission overwrites every field.
+func (t *flowTable) recycle(fl *pending) {
+	fl.acc.reset()
+	fl.flowProgress = flowProgress{}
+	if pinned := fl.pinned(); t.freeBytes+pinned <= maxFreeBytes {
+		t.freeBytes += pinned
+		fl.next, t.free = t.free, fl
+	}
+}
+
+// pinned is the memory a record holds while it sits on the free list.
+func (fl *pending) pinned() int {
+	return int(unsafe.Sizeof(*fl)) + fl.acc.retained()
+}
+
+// link appends fl to the recency list as the most recently active flow.
+func (t *flowTable) link(fl *pending) {
+	fl.prev, fl.next = t.newest, nil
+	if t.newest != nil {
+		t.newest.next = fl
+	} else {
+		t.oldest = fl
+	}
+	t.newest = fl
+}
+
+// unlink removes fl from the recency list.
+func (t *flowTable) unlink(fl *pending) {
+	if fl.prev != nil {
+		fl.prev.next = fl.next
+	} else {
+		t.oldest = fl.next
+	}
+	if fl.next != nil {
+		fl.next.prev = fl.prev
+	} else {
+		t.newest = fl.prev
+	}
+	fl.prev, fl.next = nil, nil
+}
+
+// touch marks fl the most recently active flow.
+func (t *flowTable) touch(fl *pending) {
+	if t.newest != fl {
+		t.unlink(fl)
+		t.link(fl)
+	}
+}
+
 // admitLocked enters a flow into the pending table as its most recently
 // active one. Caller holds e.mu.
 func (e *Engine) admitLocked(id ID, fl *pending) {
-	fl.elem = e.table.lru.PushBack(id)
+	fl.id = id
+	e.table.link(fl)
 	e.table.pend[id] = fl
 	e.sink.ec.admitted.Add(1)
 	e.sink.ec.pending.Add(1)
 }
 
 // retireLocked removes a flow from the pending table and the recency
-// list. Caller holds e.mu.
+// list. The record itself stays valid until the caller recycles it.
+// Caller holds e.mu.
 func (e *Engine) retireLocked(id ID, fl *pending) {
 	delete(e.table.pend, id)
 	e.sink.ec.pending.Add(-1)
-	if fl.elem != nil {
-		e.table.lru.Remove(fl.elem)
-		fl.elem = nil
-	}
+	e.table.unlink(fl)
 }
 
 // dropLocked retires a flow without any label. Caller holds e.mu.
 func (e *Engine) dropLocked(id ID, fl *pending) {
 	e.retireLocked(id, fl)
 	e.sink.ec.dropped.Add(1)
+	e.table.recycle(fl)
 }
 
 // evictOneLocked makes room in the pending table by retiring its
@@ -108,12 +186,11 @@ func (e *Engine) dropLocked(id ID, fl *pending) {
 // failure path and are not the admitting packet's fault, so they are
 // swallowed here. Caller holds e.mu.
 func (e *Engine) evictOneLocked(now time.Duration) {
-	front := e.table.lru.Front()
-	if front == nil {
+	fl := e.table.oldest
+	if fl == nil {
 		return
 	}
-	id := front.Value.(ID)
-	fl := e.table.pend[id]
+	id := fl.id
 	e.sink.ec.evicted.Add(1)
 	if e.table.eviction == EvictClassifyPartial && fl.acc.hasData() {
 		_, _ = e.classifyLocked(id, fl, now)

@@ -12,7 +12,6 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -94,15 +93,96 @@ func AppendFrameSeq(dst []byte, p *packet.Packet, seq uint64) ([]byte, error) {
 	return dst, nil
 }
 
-// FrameReader decodes framed packets from a byte stream with resync: bad
-// bytes are quarantined and skipped instead of killing the stream.
-type FrameReader struct {
-	br           *bufio.Reader
+// frameScanner is the frame parser, shared by FrameReader and the server's
+// connection reader. It looks at bytes someone else owns and holds only the
+// resync state, so the two differ in nothing but who owns the buffer.
+type frameScanner struct {
 	max          int
 	onQuarantine func()
 	inGarbage    bool
 	quarantined  int
-	lastSeq      uint64
+}
+
+// quarantine records one event per contiguous run of bad bytes. The run
+// ends when the next valid frame decodes.
+func (sc *frameScanner) quarantine() {
+	if sc.inGarbage {
+		return
+	}
+	sc.inGarbage = true
+	sc.quarantined++
+	if sc.onQuarantine != nil {
+		sc.onQuarantine()
+	}
+}
+
+// next parses the front of buf, quarantining and skipping malformed bytes
+// until it reaches a valid frame or runs out. When need is zero, buf[:used]
+// is the skipped garbage followed by one whole frame, and pkt (its payload
+// aliasing buf) and seq are that frame's. Otherwise buf[:used] is garbage
+// to discard and the frame starting at buf[used:] is undecided until it
+// holds need bytes.
+func (sc *frameScanner) next(buf []byte) (pkt packet.Packet, seq uint64, used, need int) {
+	for ; ; used++ {
+		rest := buf[used:]
+		if len(rest) < frameHeaderSize {
+			return packet.Packet{}, 0, used, frameHeaderSize
+		}
+		if rest[0] != frameMagic0 || rest[1] != frameMagic1 ||
+			(rest[2] != frameVersion && rest[2] != frameVersionSeq) {
+			sc.quarantine()
+			continue
+		}
+		hdrLen := frameHeaderSize
+		if rest[2] == frameVersionSeq {
+			hdrLen += frameHeaderSeqLen
+		}
+		length := int(binary.BigEndian.Uint32(rest[3:7]))
+		if length == 0 || length > sc.max {
+			// Never trust a hostile length: skip one byte and rescan
+			// rather than discarding what might be valid frames.
+			sc.quarantine()
+			continue
+		}
+		if len(rest) < hdrLen+length {
+			return packet.Packet{}, 0, used, hdrLen + length
+		}
+		seq = 0
+		if hdrLen > frameHeaderSize {
+			seq = binary.BigEndian.Uint64(rest[frameHeaderSize:hdrLen])
+			if seq == 0 {
+				// A sequenced frame must carry a real sequence; zero is
+				// the unsequenced sentinel and would corrupt dedup state.
+				sc.quarantine()
+				continue
+			}
+		}
+		body := rest[hdrLen : hdrLen+length]
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(rest[7:11]) {
+			sc.quarantine()
+			continue
+		}
+		p, err := packet.DecodeWireAlias(body)
+		if err != nil {
+			sc.quarantine()
+			continue
+		}
+		sc.inGarbage = false
+		return p, seq, used + hdrLen + length, 0
+	}
+}
+
+// FrameReader decodes framed packets from a byte stream with resync: bad
+// bytes are quarantined and skipped instead of killing the stream. It owns
+// its buffer and copies every payload out of it, so a packet it returns is
+// the caller's to keep.
+type FrameReader struct {
+	r       io.Reader
+	sc      frameScanner
+	buf     []byte // buf[rd:wr] is read but not yet parsed
+	rd, wr  int
+	readErr error // came with the last bytes read; reported once they are parsed
+	lastSeq uint64
 }
 
 // NewFrameReader wraps r. maxFrame bounds the payload length a header may
@@ -113,11 +193,15 @@ func NewFrameReader(r io.Reader, maxFrame int, onQuarantine func()) *FrameReader
 		maxFrame = DefaultMaxFrame
 	}
 	return &FrameReader{
-		br:           bufio.NewReaderSize(r, frameHeaderSize+frameHeaderSeqLen+maxFrame),
-		max:          maxFrame,
-		onQuarantine: onQuarantine,
+		r:   r,
+		sc:  frameScanner{max: maxFrame, onQuarantine: onQuarantine},
+		buf: make([]byte, readBufSize(maxFrame)),
 	}
 }
+
+// readBufSize is the buffer a frame reader needs: one maximal frame, so a
+// frame that starts at the front of the buffer always fits.
+func readBufSize(maxFrame int) int { return frameHeaderSize + frameHeaderSeqLen + maxFrame }
 
 // LastSeq returns the delivery sequence carried by the most recent frame
 // Next returned: zero for a version-1 frame, non-zero for version 2.
@@ -126,20 +210,7 @@ func (fr *FrameReader) LastSeq() uint64 { return fr.lastSeq }
 // Quarantined returns how many quarantine events the reader has recorded:
 // contiguous runs of garbage, torn frames, CRC mismatches, undecodable
 // packets.
-func (fr *FrameReader) Quarantined() int { return fr.quarantined }
-
-// quarantine records one event per contiguous run of bad bytes. The run
-// ends when the next valid frame decodes.
-func (fr *FrameReader) quarantine() {
-	if fr.inGarbage {
-		return
-	}
-	fr.inGarbage = true
-	fr.quarantined++
-	if fr.onQuarantine != nil {
-		fr.onQuarantine()
-	}
-}
+func (fr *FrameReader) Quarantined() int { return fr.sc.quarantined }
 
 // Next returns the next valid packet, quarantining and skipping any
 // malformed bytes in between. It returns an error only when the stream
@@ -147,70 +218,52 @@ func (fr *FrameReader) quarantine() {
 // the end of the stream is quarantined before the error is returned.
 func (fr *FrameReader) Next() (packet.Packet, error) {
 	for {
-		hdr, err := fr.br.Peek(frameHeaderSize)
-		if err != nil {
-			// Stream over with a partial header buffered: a torn frame.
-			if len(hdr) > 0 {
-				fr.quarantine()
-				_, _ = fr.br.Discard(len(hdr))
+		pkt, seq, used, need := fr.sc.next(fr.buf[fr.rd:fr.wr])
+		fr.rd += used
+		if need == 0 {
+			if pkt.Payload != nil {
+				pkt.Payload = append([]byte(nil), pkt.Payload...)
+			}
+			fr.lastSeq = seq
+			return pkt, nil
+		}
+		if err := fr.fill(); err != nil {
+			if fr.wr > fr.rd {
+				// Stream over with part of a frame buffered: a torn frame.
+				fr.sc.quarantine()
+				fr.rd = fr.wr
 			}
 			return packet.Packet{}, err
 		}
-		if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 ||
-			(hdr[2] != frameVersion && hdr[2] != frameVersionSeq) {
-			fr.quarantine()
-			_, _ = fr.br.Discard(1)
-			continue
-		}
-		hdrLen := frameHeaderSize
-		if hdr[2] == frameVersionSeq {
-			hdrLen += frameHeaderSeqLen
-		}
-		length := int(binary.BigEndian.Uint32(hdr[3:7]))
-		if length == 0 || length > fr.max {
-			// Never trust a hostile length: skip one byte and rescan
-			// rather than discarding what might be valid frames.
-			fr.quarantine()
-			_, _ = fr.br.Discard(1)
-			continue
-		}
-		// hdr is only valid until the next Peek: growing the window may
-		// slide the buffer and shift the bytes hdr points at. Everything
-		// needed from the header must be extracted before peeking again.
-		wantCRC := binary.BigEndian.Uint32(hdr[7:11])
-		full, err := fr.br.Peek(hdrLen + length)
-		if err != nil {
-			// Stream over mid-payload: a torn frame.
-			fr.quarantine()
-			_, _ = fr.br.Discard(fr.br.Buffered())
-			return packet.Packet{}, err
-		}
-		var seq uint64
-		if hdrLen > frameHeaderSize {
-			seq = binary.BigEndian.Uint64(full[frameHeaderSize:hdrLen])
-			if seq == 0 {
-				// A sequenced frame must carry a real sequence; zero is
-				// the unsequenced sentinel and would corrupt dedup state.
-				fr.quarantine()
-				_, _ = fr.br.Discard(1)
-				continue
-			}
-		}
-		body := full[hdrLen:]
-		if crc32.ChecksumIEEE(body) != wantCRC {
-			fr.quarantine()
-			_, _ = fr.br.Discard(1)
-			continue
-		}
-		pkt, err := packet.DecodeWire(body)
-		if err != nil {
-			fr.quarantine()
-			_, _ = fr.br.Discard(1)
-			continue
-		}
-		_, _ = fr.br.Discard(hdrLen + length)
-		fr.inGarbage = false
-		fr.lastSeq = seq
-		return pkt, nil
 	}
 }
+
+// fill slides the unparsed bytes to the front of the buffer and reads more
+// behind them. The scanner only asks for more while the frame at the front
+// is shorter than the buffer, so there is always room.
+func (fr *FrameReader) fill() error {
+	if err := fr.readErr; err != nil {
+		fr.readErr = nil
+		return err
+	}
+	if fr.rd > 0 {
+		fr.wr = copy(fr.buf, fr.buf[fr.rd:fr.wr])
+		fr.rd = 0
+	}
+	for tries := 0; tries < maxEmptyReads; tries++ {
+		n, err := fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += n
+		if n > 0 {
+			fr.readErr = err
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// maxEmptyReads is how many consecutive (0, nil) reads a reader tolerates
+// before giving up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100

@@ -42,8 +42,8 @@ func (s *Server) SetOverflow(p OverflowPolicy) error {
 // force.
 func (s *Server) Batch() int { return int(s.batchN.Load()) }
 
-// SetBatch retunes the batch bound live; the next gather observes it. A
-// bound of 1 makes each gather take a single packet.
+// SetBatch retunes the batch bound live; the next read admitted observes
+// it. A bound of 1 makes every message carry a single packet.
 func (s *Server) SetBatch(n int) error {
 	if n < 1 {
 		return fmt.Errorf("ingest: batch size %d is not positive", n)
@@ -55,9 +55,9 @@ func (s *Server) SetBatch(n int) error {
 // QueueDepth reports how many packets sit in the worker queues right now
 // and the total queue capacity.
 func (s *Server) QueueDepth() (depth, capacity int) {
-	for _, q := range s.queues {
-		depth += len(q)
-		capacity += cap(q)
+	for i := range s.queues {
+		depth += int(s.queues[i].space.used.Load())
+		capacity += int(s.queues[i].space.limit)
 	}
 	return depth, capacity
 }

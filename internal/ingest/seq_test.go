@@ -138,8 +138,10 @@ func TestServerDedupesReplayedSequences(t *testing.T) {
 	}
 	cl.Close()
 
-	waitFor(t, 5*time.Second, "frames to arrive", func() bool {
-		return s.Stats().Received == 7
+	// Wait on the law's right-hand side: Received is posted first, so a
+	// snapshot taken the moment it reaches 7 can still be mid-admission.
+	waitFor(t, 5*time.Second, "frames to be accounted", func() bool {
+		return accounted(s.Stats()) == 7
 	})
 	st := s.Stats()
 	assertConservation(t, st)
@@ -195,8 +197,8 @@ func TestServerResumeSeqPrimesDedup(t *testing.T) {
 		}
 	}
 	cl.Close()
-	waitFor(t, 5*time.Second, "frames to arrive", func() bool {
-		return s.Stats().Received == 4
+	waitFor(t, 5*time.Second, "frames to be accounted", func() bool {
+		return accounted(s.Stats()) == 4
 	})
 	st := s.Stats()
 	assertConservation(t, st)

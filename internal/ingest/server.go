@@ -3,7 +3,6 @@ package ingest
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -79,11 +78,11 @@ type Config struct {
 	// engine. Packets are routed to workers by flow ID, so all packets of
 	// one flow are processed in arrival order. Zero defaults to 2.
 	Workers int
-	// Batch bounds how many queued packets a worker submits to the engine
-	// in one ProcessBatch call. Workers take whatever is already queued
-	// without waiting, so a lightly loaded server keeps per-packet
-	// latency while a saturated one amortizes routing over the batch.
-	// Zero defaults to DefaultBatch.
+	// Batch bounds how many packets one reader-to-worker message, and so
+	// one ProcessBatch call, carries. A reader hands over what one socket
+	// read delivered without waiting for more, so a lightly loaded server
+	// keeps per-packet latency while a saturated one amortizes the
+	// hand-off over the batch. Zero defaults to DefaultBatch.
 	Batch int
 	// QueueDepth bounds the total packets queued between readers and
 	// workers (split evenly across workers). Zero defaults to 1024.
@@ -117,7 +116,9 @@ type Config struct {
 	// PreProcess, when non-nil, runs on every packet before it reaches
 	// the engine. It is the fault-injection surface for supervision
 	// tests: a panic here crashes the worker and exercises the
-	// supervisor, exactly like a panic in engine code would.
+	// supervisor, exactly like a panic in engine code would. The packet's
+	// Payload aliases the connection's read buffer and is valid only
+	// during the call: a hook that keeps payload bytes must copy them.
 	PreProcess func(*packet.Packet)
 	// OnFinalCheckpoint, when non-nil, receives the engine's parallel
 	// checkpoint at the end of a drain, after all pending flows are
@@ -206,22 +207,14 @@ type Stats struct {
 // Config.Batch is zero.
 const DefaultBatch = 64
 
-// item is one queued packet plus the credit it holds on its connection.
-type item struct {
-	pkt     packet.Packet
-	credits chan struct{}
-}
-
-// batchState is the in-progress batch of one worker slot. It lives on the
-// Server rather than the worker's stack so a supervisor restart resumes
-// the batch mid-way: only the packet that crashed the worker is lost.
-type batchState struct {
-	items []item
-	// pkts holds the packets that already passed PreProcess and await
-	// engine submission.
-	pkts []*packet.Packet
-	// next indexes the first item not yet claimed for pre-processing.
-	next int
+// workerSlot is the in-progress message of one worker slot. It lives on
+// the Server rather than the worker's stack so a supervisor restart resumes
+// the message mid-way: only the packet that crashed the worker is lost.
+type workerSlot struct {
+	cur *subBatch
+	// next indexes the first packet not yet claimed for pre-processing;
+	// cur.items[:kept] already passed PreProcess and await the engine.
+	next, kept int
 }
 
 // Server is the framed packet-ingest server.
@@ -229,8 +222,8 @@ type Server struct {
 	cfg     Config
 	health  healthFSM
 	sup     *supervisor
-	queues  []chan item
-	batches []*batchState
+	queues  []workQueue
+	slots   []workerSlot
 	maxSeen atomic.Int64 // highest packet virtual time, for FlushAll
 
 	// Live-reconfigurable knobs (see reconfig.go). The atomics shadow
@@ -250,9 +243,16 @@ type Server struct {
 	// on it and share the first call's error.
 	done chan struct{}
 
+	// batchPool recycles reader-to-worker messages (see reader.go).
+	batchPool sync.Pool
+	// onRecycle, when non-nil, is handed every stretch of read buffer that
+	// is about to be reused. Tests set it before Start to poison recycled
+	// bytes, so a payload alias kept too long shows.
+	onRecycle func(stale []byte)
+
 	// gate pauses frame intake for a quiesced checkpoint or flow export:
 	// readers hold it shared across the count-dedup-enqueue window of one
-	// frame (never across the blocking frame read), a checkpoint holds it
+	// read's frames (never across the blocking read), a checkpoint holds it
 	// exclusively while it drains the queues and captures state. processed
 	// counts packets that have fully left the worker queues, so
 	// processed == admitted under the write lock means the engine has seen
@@ -343,8 +343,8 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		queues:   make([]chan item, cfg.Workers),
-		batches:  make([]*batchState, cfg.Workers),
+		queues:   make([]workQueue, cfg.Workers),
+		slots:    make([]workerSlot, cfg.Workers),
 		force:    make(chan struct{}),
 		done:     make(chan struct{}),
 		ckptStop: make(chan struct{}),
@@ -354,18 +354,12 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.overflow.Store(int32(cfg.Overflow))
 	s.batchN.Store(int32(cfg.Batch))
-	for i := range s.batches {
-		s.batches[i] = &batchState{
-			items: make([]item, 0, cfg.Batch),
-			pkts:  make([]*packet.Packet, 0, cfg.Batch),
-		}
-	}
 	per := cfg.QueueDepth / cfg.Workers
 	if per < 1 {
 		per = 1
 	}
 	for i := range s.queues {
-		s.queues[i] = make(chan item, per)
+		s.queues[i] = workQueue{ch: make(chan *subBatch, per), space: newBudget(per)}
 	}
 	s.sup = newSupervisor(cfg.Supervision, cfg.Workers,
 		func() { s.health.to(StateDegraded) },
@@ -432,163 +426,6 @@ func (s *Server) acceptLoop(l net.Listener) {
 	}
 }
 
-// deadlineConn applies the per-connection deadlines: the first read of
-// every frame gets the idle deadline (time allowed between frames), each
-// subsequent read the read deadline (progress required mid-frame).
-type deadlineConn struct {
-	net.Conn
-	idle, read time.Duration
-	atBoundary bool
-}
-
-func (d *deadlineConn) Read(p []byte) (int, error) {
-	timeout := d.read
-	if d.atBoundary {
-		timeout = d.idle
-		d.atBoundary = false
-	}
-	if timeout > 0 {
-		if err := d.Conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return 0, err
-		}
-	}
-	return d.Conn.Read(p)
-}
-
-// serveConn reads frames off one connection until EOF, error, deadline
-// expiry, or a disconnect-policy trigger.
-func (s *Server) serveConn(c net.Conn) {
-	defer s.readerWG.Done()
-	defer func() {
-		c.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-	}()
-
-	credits := make(chan struct{}, s.cfg.PerConnQueue)
-	dc := &deadlineConn{Conn: c, idle: s.cfg.IdleTimeout, read: s.cfg.ReadTimeout}
-	fr := NewFrameReader(dc, s.cfg.MaxFrame, func() {
-		s.mu.Lock()
-		s.received++
-		s.quarantined++
-		s.mu.Unlock()
-	})
-	for {
-		dc.atBoundary = true
-		pkt, err := fr.Next()
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				s.mu.Lock()
-				s.timedOut++
-				s.mu.Unlock()
-			}
-			return
-		}
-		// The shared gate covers the count-dedup-enqueue window of this one
-		// frame (not the blocking read above), so a quiesced checkpoint sees
-		// every received packet either fully enqueued or not at all.
-		seq := fr.LastSeq()
-		s.gate.RLock()
-		s.mu.Lock()
-		s.received++
-		dup := seq != 0 && seq <= s.seenSeq
-		if dup {
-			// A replayed frame whose effects are already in the node's state:
-			// discard before the engine, accounted as shed so the transport
-			// law (Received == Admitted + Quarantined + Shed) stays exact.
-			s.shed++
-			s.deduped++
-		} else if seq != 0 {
-			s.seenSeq = seq
-		}
-		s.mu.Unlock()
-		ok := true
-		if !dup {
-			ok = s.enqueue(pkt, credits)
-		}
-		s.gate.RUnlock()
-		if !ok {
-			return
-		}
-	}
-}
-
-// workerFor routes a packet to its worker by flow ID — the same
-// full-word reduction ParallelEngine uses for shards — so one flow's
-// packets are always processed by one worker, in order.
-func (s *Server) workerFor(p *packet.Packet) chan item {
-	id := flow.IDOf(p.Tuple)
-	return s.queues[binary.BigEndian.Uint64(id[:8])%uint64(len(s.queues))]
-}
-
-// enqueue applies the backpressure policy. It reports whether the
-// connection should stay open. Every packet that enters here is counted
-// exactly once: Admitted when queued, Shed otherwise.
-func (s *Server) enqueue(pkt packet.Packet, credits chan struct{}) bool {
-	q := s.workerFor(&pkt)
-	it := item{pkt: pkt, credits: credits}
-	switch s.OverflowPolicy() {
-	case OverflowBlock:
-		select {
-		case credits <- struct{}{}:
-		case <-s.force:
-			s.countShed()
-			return false
-		}
-		select {
-		case q <- it:
-			s.countAdmitted()
-			return true
-		case <-s.force:
-			<-credits
-			s.countShed()
-			return false
-		}
-	default: // OverflowShed, OverflowDisconnect
-		select {
-		case credits <- struct{}{}:
-		default:
-			return s.shedOne()
-		}
-		select {
-		case q <- it:
-			s.countAdmitted()
-			return true
-		default:
-			<-credits
-			return s.shedOne()
-		}
-	}
-}
-
-// shedOne accounts one packet dropped by backpressure with its synthetic
-// fallback verdict, and reports whether the connection survives the
-// policy.
-func (s *Server) shedOne() bool {
-	s.mu.Lock()
-	s.shed++
-	disconnect := s.OverflowPolicy() == OverflowDisconnect
-	if disconnect {
-		s.disconnected++
-	}
-	s.mu.Unlock()
-	return !disconnect
-}
-
-func (s *Server) countAdmitted() {
-	s.mu.Lock()
-	s.admitted++
-	s.mu.Unlock()
-}
-
-func (s *Server) countShed() {
-	s.mu.Lock()
-	s.shed++
-	s.mu.Unlock()
-}
-
 // workerRun is one supervised worker slot. A panic while processing a
 // packet is recovered, counted, and answered with a delayed restart of
 // the same slot; the WaitGroup is released only when the slot exits
@@ -610,62 +447,48 @@ func (s *Server) workerRun(id int) {
 		}
 		s.workerWG.Done()
 	}()
-	bs, q := s.batches[id], s.queues[id]
+	slot, q := &s.slots[id], &s.queues[id]
 	for {
-		if len(bs.items) == 0 && !s.gatherBatch(bs, q) {
-			return
-		}
-		s.runBatch(bs)
-	}
-}
-
-// gatherBatch blocks for one packet, then takes whatever else is already
-// queued, up to the batch bound, without waiting. It reports false when
-// the queue is closed and drained.
-func (s *Server) gatherBatch(bs *batchState, q chan item) bool {
-	it, ok := <-q
-	if !ok {
-		return false
-	}
-	bs.items = append(bs.items, it)
-	for len(bs.items) < s.Batch() {
-		select {
-		case it, ok := <-q:
+		if slot.cur == nil {
+			m, ok := <-q.ch
 			if !ok {
-				// Process what we have; the next gather sees the close.
-				return true
+				return
 			}
-			bs.items = append(bs.items, it)
-		default:
-			return true
+			q.space.give(len(m.items))
+			slot.cur = m
 		}
+		s.runBatch(slot)
 	}
-	return true
 }
 
-// runBatch pre-processes the gathered items and submits them to the
-// engine in one ProcessBatch call. Each item is claimed (next advanced)
-// before its PreProcess hook runs, and the pending packet slice is claimed
-// before the engine call, so a panic loses exactly the work that crashed —
-// the restarted worker resumes the rest of the batch. Connection credits
-// are released only when the whole batch is done, keeping the per-conn
-// bound on genuinely unprocessed packets.
-func (s *Server) runBatch(bs *batchState) {
-	for bs.next < len(bs.items) {
-		it := &bs.items[bs.next]
-		bs.next++
-		if t := int64(it.pkt.Time); t > s.maxSeen.Load() {
+// runBatch pre-processes one message's packets and submits them to the
+// engine in one ProcessBatch call. Each packet is claimed (next advanced)
+// before its PreProcess hook runs, and the survivors are claimed before the
+// engine call, so a panic loses exactly the work that crashed — the
+// restarted worker resumes the rest of the message, and it is the restarted
+// worker that releases the message's credits and read buffer. Credits are
+// released only when the whole message is done, keeping the per-conn bound
+// on genuinely unprocessed packets.
+func (s *Server) runBatch(slot *workerSlot) {
+	m := slot.cur
+	for slot.next < len(m.items) {
+		i := slot.next
+		slot.next++
+		if t := int64(m.items[i].Pkt.Time); t > s.maxSeen.Load() {
 			s.maxSeen.Store(t)
 		}
 		if s.cfg.PreProcess != nil {
-			s.cfg.PreProcess(&it.pkt)
+			s.cfg.PreProcess(&m.items[i].Pkt)
 		}
-		bs.pkts = append(bs.pkts, &it.pkt)
+		if slot.kept != i {
+			m.items[slot.kept] = m.items[i]
+		}
+		slot.kept++
 	}
-	pkts := bs.pkts
-	bs.pkts = bs.pkts[:0]
-	if len(pkts) > 0 {
-		if failed, err := s.cfg.Engine.ProcessBatch(pkts); err != nil || failed > 0 {
+	ready := m.items[:slot.kept]
+	slot.kept = 0
+	if len(ready) > 0 {
+		if failed, err := s.cfg.Engine.ProcessBatch(ready); err != nil || failed > 0 {
 			if failed < 1 {
 				failed = 1
 			}
@@ -675,12 +498,12 @@ func (s *Server) runBatch(bs *batchState) {
 		}
 		s.sup.recordSuccess()
 	}
-	for i := range bs.items {
-		<-bs.items[i].credits
-	}
-	s.processed.Add(int64(len(bs.items)))
-	bs.items = bs.items[:0]
-	bs.next = 0
+	n := len(m.items)
+	slot.cur, slot.next = nil, 0
+	m.conn.credits.give(n)
+	m.conn.release(m.chunk)
+	s.processed.Add(int64(n))
+	s.putSubBatch(m)
 }
 
 // Shutdown drains the server: stop accepting, let connected clients
@@ -738,8 +561,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	// 3. No reader can enqueue anymore: close the queues and wait for the
 	// workers (including any mid-backoff restart) to drain them.
-	for _, q := range s.queues {
-		close(q)
+	for i := range s.queues {
+		close(s.queues[i].ch)
 	}
 	s.workerWG.Wait()
 

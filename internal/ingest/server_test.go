@@ -89,11 +89,16 @@ func replayReference(t *testing.T, trace *packet.Trace, shards int) *flow.Parall
 	return ref
 }
 
+// accounted is the right-hand side of the transport conservation law: the
+// frames whose fate is settled. A test that goes on to assert the law waits
+// on this, not on Received, which the reader posts before it admits.
+func accounted(st Stats) int { return st.Admitted + st.Quarantined + st.Shed }
+
 // assertConservation checks the transport conservation law on a stats
 // snapshot.
 func assertConservation(t *testing.T, st Stats) {
 	t.Helper()
-	if got := st.Admitted + st.Quarantined + st.Shed; got != st.Received {
+	if got := accounted(st); got != st.Received {
 		t.Errorf("conservation violated: Admitted(%d)+Quarantined(%d)+Shed(%d) = %d, want Received %d",
 			st.Admitted, st.Quarantined, st.Shed, got, st.Received)
 	}

@@ -330,6 +330,63 @@ func TestSwapModelProbationRollback(t *testing.T) {
 	}
 }
 
+// TestShadowTestAgainstChurningEngine swaps models, probation and all,
+// while flows keep retiring through the engine: the shadow test classifies
+// the sample ring's buffers at the same time as recycled flow records
+// refill theirs. Under -race this fails if SampleBuffers ever hands out a
+// buffer the engine still owns.
+func TestShadowTestAgainstChurningEngine(t *testing.T) {
+	live := trainClassifier(t, 1)
+	eng := newOpsEngine(t, live, 2)
+	m, err := NewManager(Config{
+		Engine: eng, Classifier: live, Classes: corpus.NumClasses, BufferSize: 8,
+		ProbationWindow: 5 * time.Millisecond, ProbationPoll: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		payload := make([]byte, 8)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for j := range payload {
+				payload[j] = byte(i + j*(i%5))
+			}
+			tp := opsTuple(uint16(i))
+			tp.DstPort = uint16(i >> 16) // a fresh flow every time, 2^32 of them
+			p := &packet.Packet{Tuple: tp, Time: time.Duration(i) * time.Millisecond, Flags: packet.FlagACK, Payload: payload}
+			if _, err := eng.Process(p); err != nil {
+				t.Errorf("Process: %v", err)
+				return
+			}
+		}
+	}()
+	candidates := [][]byte{jsonModel(t, trainClassifier(t, 2)), jsonModel(t, trainClassifier(t, 3))}
+	for i := 0; i < 12; i++ {
+		res, err := m.SwapModel(candidates[i%2])
+		if err != nil {
+			t.Fatalf("swap %d: %v", i, err)
+		}
+		if res.ShadowSamples == 0 {
+			t.Errorf("swap %d shadow-tested nothing", i)
+		}
+		waitSwapIdle(t, m)
+	}
+	close(stop)
+	<-done
+	if sm := m.NodeMetrics().Swap; sm.Swaps != 12 || sm.Rollbacks != 0 {
+		t.Errorf("swap metrics = %+v, want 12 clean swaps", sm)
+	}
+}
+
 func TestSwapModelBusy(t *testing.T) {
 	live := trainClassifier(t, 1)
 	eng := newOpsEngine(t, live, 1)

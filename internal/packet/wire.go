@@ -43,6 +43,18 @@ func AppendWire(dst []byte, p *Packet) ([]byte, error) {
 // one packet: short, oversized, or trailing-garbage inputs return an error
 // wrapping ErrBadWire. The payload is copied, so the caller may reuse data.
 func DecodeWire(data []byte) (Packet, error) {
+	p, err := DecodeWireAlias(data)
+	if err == nil && p.Payload != nil {
+		p.Payload = append([]byte(nil), p.Payload...)
+	}
+	return p, err
+}
+
+// DecodeWireAlias is DecodeWire without the copy: the returned Payload is
+// a sub-slice of data, valid only as long as the caller leaves data alone.
+// The ingest server decodes this way into read buffers it owns; everyone
+// who keeps the packet uses DecodeWire.
+func DecodeWireAlias(data []byte) (Packet, error) {
 	const fixed = 13 + 1 // tuple + flags
 	if len(data) < fixed {
 		return Packet{}, fmt.Errorf("%w: %d bytes is shorter than a header", ErrBadWire, len(data))
@@ -76,7 +88,7 @@ func DecodeWire(data []byte) (Packet, error) {
 	}
 	var payload []byte
 	if payloadLen > 0 {
-		payload = append([]byte(nil), rest...)
+		payload = rest
 	}
 	return Packet{Tuple: tuple, Time: time.Duration(when), Flags: flags, Payload: payload}, nil
 }

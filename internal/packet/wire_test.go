@@ -62,6 +62,33 @@ func TestWireDecodeCopiesPayload(t *testing.T) {
 	}
 }
 
+// TestWireDecodeAlias pins the other half: DecodeWireAlias parses exactly
+// what DecodeWire does, allocates nothing, and its payload is the caller's
+// bytes.
+func TestWireDecodeAlias(t *testing.T) {
+	p := wireTestPacket()
+	wire, err := AppendWire(nil, &p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeWireAlias(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Tuple != p.Tuple || got.Time != p.Time || got.Flags != p.Flags || !bytes.Equal(got.Payload, p.Payload) {
+		t.Errorf("alias decode mismatch: got %+v want %+v", got, p)
+	}
+	if &got.Payload[0] != &wire[len(wire)-len(p.Payload)] {
+		t.Error("DecodeWireAlias copied the payload")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { DecodeWireAlias(wire) }); allocs != 0 {
+		t.Errorf("DecodeWireAlias allocates %v times per packet", allocs)
+	}
+	if _, err := DecodeWireAlias(wire[:len(wire)-1]); !errors.Is(err, ErrBadWire) {
+		t.Errorf("truncated input: err = %v, want ErrBadWire", err)
+	}
+}
+
 func TestWireEncodeRejects(t *testing.T) {
 	bad := wireTestPacket()
 	bad.Time = -1
