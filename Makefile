@@ -40,6 +40,7 @@ check:
 	$(GO) test -fuzz='^FuzzFrame$$' -fuzztime=5s ./internal/ingest
 	$(GO) test -fuzz=FuzzFrameAliasVsCopy -fuzztime=5s ./internal/ingest
 	$(GO) test -fuzz=FuzzDifferentialPackedVsLegacy -fuzztime=5s ./internal/entropy
+	$(GO) test -fuzz=FuzzVectorAtVsOracle -fuzztime=5s ./internal/entropy
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=5s ./internal/persist
 	$(GO) test -fuzz=FuzzImportCheckpoint -fuzztime=5s ./internal/persist
 
@@ -101,7 +102,8 @@ examples:
 
 # Short fuzzing passes over the byte-level parsers, the frame differential
 # (the server's aliasing decode vs the copying FrameReader), the entropy
-# differential (refinement vs string-keyed oracle) and every snapshot
+# differentials (refinement vs string-keyed oracle, one width through H and
+# whole width sets through VectorAt) and every snapshot
 # decoder (frame, tree, SVM, classifier, CDB, checkpoint). Every target
 # `check` smokes for 5 s is here for 30 s, under the same name.
 fuzz:
@@ -111,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzFrame$$' -fuzztime=30s ./internal/ingest
 	$(GO) test -fuzz=FuzzFrameAliasVsCopy -fuzztime=30s ./internal/ingest
 	$(GO) test -fuzz=FuzzDifferentialPackedVsLegacy -fuzztime=30s ./internal/entropy
+	$(GO) test -fuzz=FuzzVectorAtVsOracle -fuzztime=30s ./internal/entropy
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecodeTree -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecodeSVMModel -fuzztime=30s ./internal/persist

@@ -63,11 +63,16 @@ type File struct {
 // concurrent use; create one per goroutine.
 type Generator struct {
 	rng *rand.Rand
+	// deflaters holds one compressor per flate level, created on first use
+	// and Reset into each compressed member's buffer, so a member does not
+	// allocate a compressor's state. Reset behaves like a fresh
+	// flate.NewWriter, so the bytes are the same.
+	deflaters map[int]*flate.Writer
 }
 
 // NewGenerator returns a Generator seeded for reproducibility.
 func NewGenerator(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
+	return &Generator{rng: rand.New(rand.NewSource(seed)), deflaters: map[int]*flate.Writer{}}
 }
 
 // vocabulary is the word stock for prose synthesis; sampling it with a
@@ -304,21 +309,35 @@ func (g *Generator) archiveFile(size int) []byte {
 			continue
 		}
 		member := g.prose(1<<10 + g.rng.Intn(3<<10))
-		var compressed bytes.Buffer
-		w, err := flate.NewWriter(&compressed, flate.BestCompression)
-		if err == nil {
-			if _, err := w.Write(member); err == nil {
-				if err := w.Close(); err == nil {
-					buf.Write(compressed.Bytes())
-					continue
-				}
-			}
+		if compressed, ok := g.deflate(member, flate.BestCompression); ok {
+			buf.Write(compressed)
+			continue
 		}
 		// flate cannot realistically fail on a bytes.Buffer; fall back to
 		// raw prose so the file still reaches its size.
 		buf.Write(member)
 	}
 	return clamp(buf.Bytes(), size)
+}
+
+// deflate compresses data at level with the generator's compressor for
+// that level; ok is false if flate failed.
+func (g *Generator) deflate(data []byte, level int) (compressed []byte, ok bool) {
+	var out bytes.Buffer
+	w := g.deflaters[level]
+	if w == nil {
+		var err error
+		if w, err = flate.NewWriter(&out, level); err != nil {
+			return nil, false
+		}
+		g.deflaters[level] = w
+	} else {
+		w.Reset(&out)
+	}
+	if _, err := w.Write(data); err != nil || w.Close() != nil {
+		return nil, false
+	}
+	return out.Bytes(), true
 }
 
 // imageFile mimics lossy-coded media: marker segments plus entropy-coded
@@ -360,14 +379,10 @@ func (g *Generator) documentFile(size int) []byte {
 			buf.Write(g.prose(100 + g.rng.Intn(150)))
 		} else {
 			stream := g.prose(400 + g.rng.Intn(400))
-			var compressed bytes.Buffer
-			w, err := flate.NewWriter(&compressed, flate.DefaultCompression)
-			if err == nil {
-				if _, err := w.Write(stream); err == nil && w.Close() == nil {
-					fmt.Fprintf(&buf, "%d 0 obj\n<< /Filter /FlateDecode >>\nstream\n", obj)
-					buf.Write(compressed.Bytes())
-					buf.WriteString("\nendstream\nendobj\n")
-				}
+			if compressed, ok := g.deflate(stream, flate.DefaultCompression); ok {
+				fmt.Fprintf(&buf, "%d 0 obj\n<< /Filter /FlateDecode >>\nstream\n", obj)
+				buf.Write(compressed)
+				buf.WriteString("\nendstream\nendobj\n")
 			}
 		}
 		obj++

@@ -1,6 +1,9 @@
 package corpus
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"iustitia/internal/entropy"
@@ -185,5 +188,38 @@ func TestBinarySubtypesSpreadEntropy(t *testing.T) {
 	if spread := summary.Max - summary.Min; spread < 0.15 {
 		t.Errorf("binary entropy spread = %.3f, want >= 0.15 (min=%.3f max=%.3f)",
 			spread, summary.Min, summary.Max)
+	}
+}
+
+// TestPoolGolden pins the synthesized pools byte for byte: every
+// experiment and the benchmark draw their files from Pool, so a change to
+// how files are built (such as reusing the flate compressor) must leave
+// these digests of class, kind, length and bytes exactly as recorded.
+func TestPoolGolden(t *testing.T) {
+	golden := map[int64]string{
+		1:  "75556a0fbd10bf52d436f3020216ff648874c99873ce77e7fa730c5aef4584f1",
+		11: "3db00357bb3b8e1fcaf10a0c9fa4c9e6419758fc83c200b54137514e3d7eb1fa",
+		29: "74ca89982511a4445a8b6b0903ee5604bcbf873fce3382b233822994d2742c9d",
+		43: "8b4acf41f01341607356261c6afd8970c8f234a2a9531d9fc5eab80cdbfa94da",
+	}
+	for _, seed := range []int64{1, 11, 29, 43} {
+		files, err := NewGenerator(seed).Pool(60, 512, 40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var word [8]byte
+		for _, f := range files {
+			binary.LittleEndian.PutUint64(word[:], uint64(f.Class))
+			h.Write(word[:])
+			h.Write([]byte(f.Kind))
+			h.Write([]byte{0})
+			binary.LittleEndian.PutUint64(word[:], uint64(len(f.Data)))
+			h.Write(word[:])
+			h.Write(f.Data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != golden[seed] {
+			t.Errorf("seed %d: pool digest %s, want %s", seed, got, golden[seed])
+		}
 	}
 }

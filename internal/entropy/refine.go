@@ -2,7 +2,6 @@ package entropy
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -22,10 +21,10 @@ import (
 // anything but degenerate payloads, and nothing depends on how wide k is.
 //
 // Determinism invariant: the class sizes are folded through the same
-// ascending count-of-counts summation as the string-keyed reference
-// (index order for k = 1), with every float multiplication in the same
-// order, so h_k is bit-identical to it (the differential and fuzz tests in
-// refine_test.go prove it).
+// ascending count-of-counts summation as the string-keyed reference (byte
+// order for k = 1), with every float multiplication in the same order, so
+// h_k is bit-identical to it whatever order the classes of k >= 2 are
+// split into (the differential and fuzz tests in refine_test.go prove it).
 
 // ---------------------------------------------------------------------------
 // Memoized c·log2(c)
@@ -104,48 +103,35 @@ func (lt *logTable) term(mult, c int) float64 {
 	return float64(mult) * float64(c) * math.Log2(float64(c))
 }
 
-// foldCounts sorts the collected counts ascending and sums m·c·log2(c)
-// over the grouped multiplicities — the exact fold shape (and float
-// multiplication order) of the string-keyed reference, so the result is
-// bit-identical regardless of the order the counts were collected in.
-func foldCounts(scratch []int, lt *logTable) (float64, []int) {
-	sort.Ints(scratch)
-	var sum float64
-	for i := 0; i < len(scratch); {
-		c := scratch[i]
-		j := i + 1
-		for j < len(scratch) && scratch[j] == c {
-			j++
-		}
-		sum += lt.term(j-i, c)
-		i = j
-	}
-	return sum, scratch
-}
-
 // ---------------------------------------------------------------------------
 // Prefix-class refinement
 
-// smallClass is the class size up to which a class is split by an
-// insertion sort on the next byte; larger classes take a 256-bucket
-// counting pass, whose fixed cost a small class would not repay (measured
-// flat between 24 and 64 on corpus payloads).
-const smallClass = 32
+// tallyClass bounds the classes split by tally-and-scatter: under it a
+// class's per-byte counts fit the refiner's generation-stamped tallies and
+// the split touches only the bytes the class holds; at or above it the
+// 256-bucket counting pass's fixed sweep is repaid.
+const tallyClass = 256
 
-// dropped marks, in the counting pass, a next-byte bucket that holds a
-// single position and so leaves the alive set.
+// dropped marks a next-byte bucket that holds a single position and so
+// leaves the alive set.
 const dropped = math.MaxUint32
 
 // refiner is the pooled per-call state: the alive positions of the current
 // level grouped by k-gram class (each class contiguous and ascending), the
 // class sizes in the same order, a second pair of slices the next level is
-// written into, and the fold scratch. Everything is O(len(data)) and warm
-// after the first call at a given length, so a pooled refiner counts
-// without allocating.
+// written into, the fold's count-of-counts cc (n+1 entries, all zero
+// between folds), and the small-class split's tallies: tally[b] is valid
+// only while stamp[b] == gen, so no class clears them, and firsts lists a
+// class's distinct next bytes in first-occurrence order. Everything is
+// O(len(data)) and warm after the first call at a given length, so a
+// pooled refiner counts without allocating.
 type refiner struct {
 	pos, nextPos   []uint32
 	size, nextSize []uint32
-	counts         []int
+	cc             []uint32
+	gen            uint32
+	stamp, tally   [256]uint32
+	firsts         [256]byte
 }
 
 var refinerPool = sync.Pool{New: func() any { return new(refiner) }}
@@ -156,6 +142,7 @@ func (st *refiner) start(n int) {
 	if cap(st.pos) < n {
 		st.pos = make([]uint32, n)
 		st.nextPos = make([]uint32, n)
+		st.cc = make([]uint32, n+1)
 	}
 	st.pos = st.pos[:n]
 	for i := range st.pos {
@@ -166,9 +153,11 @@ func (st *refiner) start(n int) {
 
 // refine moves from level off to level off+1: it splits every class by the
 // byte at offset off from each of its positions and keeps the sub-classes
-// of two or more positions. Both splits are stable and emit sub-classes in
-// ascending byte order, so positions stay ascending within a class and the
-// k = 1 classes come out in byte order.
+// of two or more positions. Every split scatters stably, so positions stay
+// ascending within a class. Level one is split by the counting pass alone,
+// which emits the byte classes in ascending byte order for the k = 1 fold;
+// deeper levels are folded by count-of-counts and so take whichever split
+// is cheapest, whatever order its sub-classes come out in.
 func (st *refiner) refine(data []byte, off int) {
 	out, sizes := st.nextPos[:0], st.nextSize[:0]
 	begin := 0
@@ -182,29 +171,13 @@ func (st *refiner) refine(data []byte, off int) {
 		}
 		switch {
 		case len(class) < 2:
-		case len(class) <= smallClass:
-			for i := 1; i < len(class); i++ {
-				p := class[i]
-				b := data[int(p)+off]
-				j := i
-				for j > 0 && data[int(class[j-1])+off] > b {
-					class[j] = class[j-1]
-					j--
-				}
-				class[j] = p
+		case len(class) == 2:
+			if data[int(class[0])+off] == data[int(class[1])+off] {
+				out = append(out, class[0], class[1])
+				sizes = append(sizes, 2)
 			}
-			for i := 0; i < len(class); {
-				b := data[int(class[i])+off]
-				j := i + 1
-				for j < len(class) && data[int(class[j])+off] == b {
-					j++
-				}
-				if j-i >= 2 {
-					out = append(out, class[i:j]...)
-					sizes = append(sizes, uint32(j-i))
-				}
-				i = j
-			}
+		case len(class) < tallyClass && off > 0:
+			out, sizes = st.splitTally(out, sizes, class, data, off)
 		default:
 			var slot [256]uint32
 			for _, p := range class {
@@ -235,23 +208,74 @@ func (st *refiner) refine(data []byte, off int) {
 	st.size, st.nextSize = sizes, st.size
 }
 
+// splitTally splits a class of fewer than tallyClass positions: one pass
+// tallies the next bytes under a fresh generation, the distinct bytes are
+// given their output ranges in first-occurrence order, and a second pass
+// scatters the positions into them.
+func (st *refiner) splitTally(out, sizes, class []uint32, data []byte, off int) ([]uint32, []uint32) {
+	st.gen++
+	if st.gen == 0 {
+		st.stamp = [256]uint32{}
+		st.gen = 1
+	}
+	gen, distinct := st.gen, 0
+	for _, p := range class {
+		b := data[int(p)+off]
+		if st.stamp[b] != gen {
+			st.stamp[b] = gen
+			st.tally[b] = 0
+			st.firsts[distinct] = b
+			distinct++
+		}
+		st.tally[b]++
+	}
+	end := uint32(len(out))
+	for _, b := range st.firsts[:distinct] {
+		c := st.tally[b]
+		if c < 2 {
+			st.tally[b] = dropped
+			continue
+		}
+		sizes = append(sizes, c)
+		st.tally[b] = end
+		end += c
+	}
+	out = out[:end]
+	for _, p := range class {
+		b := data[int(p)+off]
+		if at := st.tally[b]; at != dropped {
+			out[at] = p
+			st.tally[b] = at + 1
+		}
+	}
+	return out, sizes
+}
+
 // fold returns Σ c·log2(c) over the current level's class sizes. Level one
 // sums in class (= byte value) order, as the reference's byte histogram
-// does; every other level takes the count-of-counts fold.
+// does. Every other level tallies the sizes into the count-of-counts cc
+// and sums m·c·log2(c) over c ascending — the reference's fold shape and
+// multiplication order, so the result does not depend on class order —
+// sweeping only [smallest, largest] and zeroing each entry as it is read.
 func (st *refiner) fold(k int, lt *logTable) float64 {
+	var sum float64
 	if k == 1 {
-		var sum float64
 		for _, c := range st.size {
 			sum += lt.term(1, int(c))
 		}
 		return sum
 	}
-	st.counts = st.counts[:0]
+	lo, hi := uint32(len(st.cc)), uint32(0)
 	for _, c := range st.size {
-		st.counts = append(st.counts, int(c))
+		st.cc[c]++
+		lo, hi = min(lo, c), max(hi, c)
 	}
-	var sum float64
-	sum, st.counts = foldCounts(st.counts, lt)
+	for c := lo; c <= hi; c++ {
+		if m := st.cc[c]; m != 0 {
+			sum += lt.term(int(m), int(c))
+			st.cc[c] = 0
+		}
+	}
 	return sum
 }
 

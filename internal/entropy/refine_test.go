@@ -193,6 +193,190 @@ func FuzzDifferentialPackedVsLegacy(f *testing.F) {
 	})
 }
 
+// boundaryPayload builds a payload in which byte 0xFF occurs exactly s
+// times and never last, so the 0xFF class reaches level two with exactly
+// s positions and is split there by whichever path its size selects. Each
+// 0xFF is followed by a next byte from next(i), a byte i%7 and one to
+// three filler bytes below 0xFF, so the class splits again at deeper
+// levels into sub-classes of assorted sizes, including ones of one and
+// two positions.
+func boundaryPayload(rng *rand.Rand, s int, next func(i int) byte) []byte {
+	var data []byte
+	for i := 0; i < s; i++ {
+		data = append(data, 0xFF, next(i), byte(i%7))
+		for j := rng.Intn(3); j >= 0; j-- {
+			data = append(data, byte(0x10+rng.Intn(0xE0)))
+		}
+	}
+	return data
+}
+
+// boundarySizes are the class sizes on either side of the split paths'
+// thresholds: the two-position compare, the smallest tally, and both
+// sides of tallyClass.
+var boundarySizes = []int{2, 3, tallyClass - 2, tallyClass - 1, tallyClass, tallyClass + 1}
+
+// boundaryNexts are boundaryPayload's next-byte patterns: all distinct
+// for small classes (a two-position class dies) and in pairs (it
+// survives), plus one shared byte (the class survives whole).
+var boundaryNexts = []func(i int) byte{
+	func(i int) byte { return byte(i % 5) },
+	func(i int) byte { return byte(i / 2 % 5) },
+	func(int) byte { return 'x' },
+}
+
+// TestSplitPathBoundaries checks payloads whose level-two class sits on
+// each side of every split-path threshold against the oracle, with the
+// class both clear of the payload's end and trimmed by it (a trailing
+// 0xFF makes the class one larger at level one and cuts it back at level
+// two).
+func TestSplitPathBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range boundarySizes {
+		for _, next := range boundaryNexts {
+			data := boundaryPayload(rng, s, next)
+			for _, d := range [][]byte{data, append(data[:len(data):len(data)], 0xFF)} {
+				st := new(refiner)
+				st.start(len(d))
+				st.refine(d, 0)
+				if got := st.size[len(st.size)-1]; got < uint32(s) || got > uint32(s+1) {
+					t.Fatalf("s=%d: level-one 0xFF class holds %d positions", s, got)
+				}
+				var widths []int
+				for k := 1; k <= 10 && k <= len(d); k++ {
+					widths = append(widths, k)
+				}
+				assertVectorMatchesOracle(t, d, widths)
+			}
+		}
+	}
+}
+
+// TestFoldIgnoresClassOrder pins the count-of-counts fold: above level
+// one the result depends only on the multiset of class sizes, so any
+// permutation of the size list folds to the same bits — the oracle's.
+func TestFoldIgnoresClassOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lt := logsFor(1 << 16)
+	for round := 0; round < 50; round++ {
+		sizes := make([]uint32, 1+rng.Intn(300))
+		counts := map[string]int{}
+		n := 0
+		for i := range sizes {
+			c := 2 + rng.Intn(40)
+			if rng.Intn(8) == 0 {
+				c = 2 + rng.Intn(2000)
+			}
+			sizes[i] = uint32(c)
+			counts[string(rune(i+1))] = c
+			n += c
+		}
+		want := sumCLogC(counts)
+		st := &refiner{cc: make([]uint32, n+1)}
+		for perm := 0; perm < 4; perm++ {
+			st.size = sizes
+			got := st.fold(2, lt)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d perm %d: fold = %v, oracle %v", round, perm, got, want)
+			}
+			rng.Shuffle(len(sizes), func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+		}
+	}
+}
+
+// TestCountOfCountsLeftClean pins the fold's bookkeeping: every count it
+// tallies is zeroed as the sweep reads it, so a warm refiner's cc is all
+// zero after payloads that grow, shrink and grow again.
+func TestCountOfCountsLeftClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	st := new(refiner)
+	for _, n := range []int{4096, 1, 1024, 33, 4096} {
+		var widths []int
+		for k := 1; k <= 12 && k <= n; k++ {
+			widths = append(widths, k)
+		}
+		for _, data := range payloadsFor(rng, n) {
+			vec := make([]float64, len(widths))
+			st.vector(vec, data, widths)
+			for c, m := range st.cc {
+				if m != 0 {
+					t.Fatalf("after n=%d: cc[%d] = %d, want 0", n, c, m)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitTallyGenerationWrap runs the tally split across the wrap of its
+// generation stamp, from a cold refiner (every stamp zero, so a generation
+// that wraps to zero without clearing them reads every byte as already
+// tallied) and from a warm one whose only tally so far stamped 'x', 'y'
+// and 'z' with generation one, which a wrap that skips zero without
+// clearing would read as its own.
+func TestSplitTallyGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	// The 'a' class is the payload's one tally split: three positions
+	// followed by 'x', 'y' and 'z'.
+	payloads := [][]byte{[]byte("axayaz0123")}
+	for _, n := range []int{1024, 200, 64} {
+		payloads = append(payloads, payloadsFor(rng, n)...)
+	}
+	for _, s := range boundarySizes[2:] {
+		payloads = append(payloads, boundaryPayload(rng, s, boundaryNexts[0]))
+	}
+	for _, warm := range []bool{false, true} {
+		for _, start := range []uint32{math.MaxUint32 - 3, math.MaxUint32} {
+			st := new(refiner)
+			if warm {
+				st.vector(make([]float64, len(widths)), payloads[0], widths)
+			}
+			st.gen = start
+			for _, data := range payloads {
+				got := make([]float64, len(widths))
+				st.vector(got, data, widths)
+				want, err := legacyVectorAt(data, widths)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameBits(t, "across the stamp wrap", len(data), widths, got, want)
+			}
+			if st.gen >= start {
+				t.Fatalf("generation never wrapped from %#x", start)
+			}
+		}
+	}
+}
+
+// FuzzVectorAtVsOracle fuzzes the bit-identity invariant over whole width
+// sets, so one refinement folds many levels: bit k-1 of widthMask selects
+// width k (1..32, those no longer than data).
+func FuzzVectorAtVsOracle(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for _, s := range boundarySizes {
+		for _, next := range boundaryNexts {
+			f.Add(boundaryPayload(rng, s, next), uint32(0x3FF))
+		}
+	}
+	big := make([]byte, 4096)
+	rng.Read(big)
+	f.Add(big[:1024], uint32(0xFFFFFFFF))
+	f.Add(bytes.Repeat([]byte{0}, 300), uint32(0x8000001D))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint32(0x1D))
+	f.Fuzz(func(t *testing.T, data []byte, widthMask uint32) {
+		var widths []int
+		for k := 1; k <= 32 && k <= len(data); k++ {
+			if widthMask&(1<<(k-1)) != 0 {
+				widths = append(widths, k)
+			}
+		}
+		if len(widths) == 0 {
+			t.Skip()
+		}
+		assertVectorMatchesOracle(t, data, widths)
+	})
+}
+
 // TestVectorMatchesVectorAt pins Vector to the same values as VectorAt
 // over 1..width.
 func TestVectorMatchesVectorAt(t *testing.T) {
@@ -315,7 +499,8 @@ func TestAppendVector(t *testing.T) {
 // payload nothing is ever pruned, so every level touches every position.
 // That must stay linear per level — the fastest of a few runs on 1 KiB x
 // ten widths has to fit a budget an order of magnitude above what it
-// measures (≈ 60 µs on the 2 vCPU box that recorded BENCH_entropy.json).
+// measures (≈ 80 µs on the 2 vCPU box that recorded BENCH_entropy.json
+// run 7).
 func TestZerosWithinBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing is skewed under the race detector")

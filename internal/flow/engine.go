@@ -112,11 +112,12 @@ type EngineConfig struct {
 	FallbackClass corpus.Class
 	// Faults is the classifier fault-tolerance policy.
 	Faults FaultPolicy
-	// LabelCap bounds the ground-truth label map consulted by Label:
-	// 0 keeps every label forever (the original behaviour), n > 0 keeps
-	// only the n most recently labelled flows, negative keeps no per-flow
-	// results at all — no labels, no FillStats — for a long-running node
-	// that reads neither (RecordedLabel still answers from the CDB).
+	// LabelCap bounds the per-flow results behind Label and FillStats:
+	// 0 keeps every label and every fill forever (the original
+	// behaviour), n > 0 keeps only the n most recently labelled flows and
+	// the n most recent fills, negative keeps no per-flow results at all —
+	// no labels, no FillStats — for a long-running node that reads neither
+	// (RecordedLabel still answers from the CDB).
 	LabelCap int
 	// CheckpointEvery, with OnCheckpoint, fires a durable snapshot after
 	// every N classified flows. Zero disables periodic checkpoints;

@@ -330,6 +330,31 @@ func TestEngineLabelCapBoundsMap(t *testing.T) {
 			t.Errorf("recent flow %d lost its label", i)
 		}
 	}
+
+	// The cap bounds the fills too: many more flows, each classified on
+	// its second packet i ns after its first, leave the two most recent,
+	// oldest first.
+	const flows = 500
+	for i := uint16(6); i <= flows; i++ {
+		first := time.Duration(i) * time.Millisecond
+		for _, at := range []time.Duration{first, first + time.Duration(i)} {
+			if _, err := e.Process(dataPacket(tuple(i, packet.TCP), at, "T")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fills := e.FillStats()
+	if len(fills) != 2 {
+		t.Fatalf("LabelCap 2 kept %d FillStats after %d flows, want 2", len(fills), flows)
+	}
+	for j, want := range []time.Duration{flows - 1, flows} {
+		if got := fills[j]; got.Packets != 2 || got.Delay != want {
+			t.Errorf("fill %d = %+v, want {Packets:2 Delay:%v}", j, got, want)
+		}
+	}
+	if n := len(e.sink.labelled); n != 2 {
+		t.Errorf("LabelCap 2 kept %d labels after %d flows", n, flows)
+	}
 }
 
 // TestEngineLabelCapDisabled is iustitia-serve's setting: a long-running

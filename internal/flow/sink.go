@@ -36,13 +36,15 @@ type sink struct {
 
 	// Per-flow results, kept while labelCap >= 0 (EngineConfig.LabelCap).
 	// With labelCap > 0, labelRing holds the ids currently in labelled in
-	// insertion order and head/count delimit it.
+	// insertion order and head/count delimit it, and fills is a ring of at
+	// most labelCap entries whose oldest is at fillHead.
 	labelCap   int
 	labelled   map[ID]corpus.Class
 	labelRing  []ID
 	labelHead  int
 	labelCount int
 	fills      []FillStats
+	fillHead   int
 
 	// latency is the per-shard classification latency histogram; samples
 	// is a small ring of recently classified full payload buffers, used to
@@ -97,7 +99,7 @@ type engineCounters struct {
 	dropped     atomic.Int64 // flows retired without any label
 	failed      atomic.Int64 // classifier errors + recovered panics
 	fallback    atomic.Int64 // flows labelled FallbackClass by failure/degraded mode
-	classified  atomic.Int64 // real classifications (mirrors len(e.fills))
+	classified  atomic.Int64 // real classifications (len(e.fills) under LabelCap 0)
 	pending     atomic.Int64 // gauge: len(e.pend)
 	migratedIn  atomic.Int64 // flows (pending + CDB records) installed by migration
 	migratedOut atomic.Int64 // flows (pending + CDB records) removed by migration
@@ -117,7 +119,13 @@ func (s *sink) routed(id ID, label corpus.Class) {
 func (s *sink) classified(fl *pending, now time.Duration) {
 	s.ec.classified.Add(1)
 	if s.labelCap >= 0 {
-		s.fills = append(s.fills, FillStats{Packets: fl.packets, Delay: now - fl.firstSeen})
+		fill := FillStats{Packets: fl.packets, Delay: now - fl.firstSeen}
+		if s.labelCap > 0 && len(s.fills) == s.labelCap {
+			s.fills[s.fillHead] = fill
+			s.fillHead = (s.fillHead + 1) % s.labelCap
+		} else {
+			s.fills = append(s.fills, fill)
+		}
 	}
 	// The retired flow's record is about to be recycled with its buffer,
 	// so the ring does not keep a pointer into it: it takes the buffer and
@@ -204,11 +212,13 @@ func (e *Engine) RecordedLabel(t packet.FiveTuple) (corpus.Class, bool) {
 }
 
 // FillStats returns a copy of the per-flow buffering measurements gathered
-// so far.
+// so far, oldest first: every classified flow's under LabelCap 0, the
+// LabelCap most recent under LabelCap > 0, none under a negative LabelCap.
 func (e *Engine) FillStats() []FillStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]FillStats(nil), e.sink.fills...)
+	fills, head := e.sink.fills, e.sink.fillHead
+	return append(append([]FillStats(nil), fills[head:]...), fills[:head]...)
 }
 
 // SampleBuffers returns copies of the engine's ring of recently classified

@@ -454,10 +454,10 @@ func WithFaultTolerance(tripAfter, probeEvery int) MonitorOption {
 	}
 }
 
-// WithLabelCap bounds the ground-truth label map behind Label: n > 0
-// keeps the n most recently labelled flows, negative disables label
-// tracking entirely (the memory-tightest choice), 0 keeps every label
-// forever (the default).
+// WithLabelCap bounds the per-flow results behind Label and FillStats:
+// n > 0 keeps the n most recently labelled flows and the n most recent
+// fills, negative disables both entirely (the memory-tightest choice), 0
+// keeps every label and every fill forever (the default).
 func WithLabelCap(n int) MonitorOption {
 	return func(o *monitorOptions) { o.labelCap = n }
 }
@@ -591,7 +591,8 @@ type FlowFill struct {
 }
 
 // FillStats returns per-flow buffering measurements — the Figure 10
-// quantities — for every flow classified so far.
+// quantities — oldest first, for every flow classified so far (for the
+// most recent n under WithLabelCap(n > 0), none under a negative cap).
 func (m *Monitor) FillStats() []FlowFill {
 	raw := m.engine.FillStats()
 	out := make([]FlowFill, len(raw))
